@@ -154,7 +154,7 @@ func TestClusterExploreCanonicalCoversPoints(t *testing.T) {
 }
 
 // TestClusterExploreWorkerExecutesPair sanity-checks that an exploration
-// job's simulations land under the same keys a local SimulatePair uses,
+// job's simulations land under the same keys a local simulation uses,
 // which is what makes dispatcher-side aggregation free.
 func TestClusterExploreWorkerExecutesPair(t *testing.T) {
 	ctx := context.Background()

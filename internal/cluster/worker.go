@@ -324,28 +324,25 @@ func (w *Worker) runJob(ctx context.Context, j Job) error {
 
 // runExploreJob executes one exploration shard: simulate the workload's
 // original and clone on every (machine configuration, level) cell
-// through the pipeline's cached Simulate stage. Every simulation (and
-// the compiles, profile, and synthesis underneath) lands in the shared
-// store, so the dispatcher can aggregate the sweep report warm.
+// through the pipeline's cached Simulate stage, batched per program by
+// pipeline.SimulateCells exactly as explore.RunWorkload does. Every
+// simulation (and the compiles, profile, and synthesis underneath) lands
+// in the shared store, so the dispatcher can aggregate the sweep report
+// warm.
 func (w *Worker) runExploreJob(ctx context.Context, wl *workloads.Workload, j Job) error {
-	type simCell struct {
-		sim, level int
-	}
-	var cells []simCell
-	for si := range j.Sims {
-		for _, l := range j.Levels {
-			cells = append(cells, simCell{sim: si, level: l})
-		}
-	}
-	return pipeline.ForEach(ctx, w.Pipe, cells, func(ctx context.Context, c simCell) error {
-		cfg, err := j.Sims[c.sim].Config()
+	var cells []pipeline.SimCell
+	for _, spec := range j.Sims {
+		cfg, err := spec.Config()
 		if err != nil {
 			return fmt.Errorf("cluster: explore job %s: %w", j.Workload, err)
 		}
-		if c.level < 0 || c.level >= len(compiler.Levels) {
-			return fmt.Errorf("cluster: level %d out of range", c.level)
+		for _, l := range j.Levels {
+			if l < 0 || l >= len(compiler.Levels) {
+				return fmt.Errorf("cluster: level %d out of range", l)
+			}
+			cells = append(cells, pipeline.SimCell{Workload: wl, Level: compiler.Levels[l], Config: cfg})
 		}
-		_, err = w.Pipe.SimulatePair(ctx, wl, cfg.ISA, compiler.Levels[c.level], cfg, j.SimMaxInstrs)
-		return err
-	})
+	}
+	_, err := w.Pipe.SimulateCells(ctx, cells, j.SimMaxInstrs)
+	return err
 }

@@ -59,6 +59,25 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// ValidateFor checks the configuration with Validate and additionally
+// that it can time a program compiled for target: the machine must use
+// that ISA, and the EPIC (in-order bundle) model exactly when the ISA is
+// EPIC. Simulate applies it to every configuration before running.
+func (c Config) ValidateFor(target *isa.Desc) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if c.EPIC != c.ISA.EPIC {
+		return fmt.Errorf("cpu: machine %s EPIC=%v but ISA %s EPIC=%v",
+			c.Name, c.EPIC, c.ISA.Name, c.ISA.EPIC)
+	}
+	if target != c.ISA {
+		return fmt.Errorf("cpu: program compiled for %s, machine %s wants %s",
+			target.Name, c.Name, c.ISA.Name)
+	}
+	return nil
+}
+
 // CanonicalConfig returns the versioned, unambiguous encoding of every
 // field that shapes a simulation's outcome. The Name is deliberately
 // excluded: two configs that differ only in display name are the same

@@ -20,8 +20,6 @@
 package cpu
 
 import (
-	"fmt"
-
 	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/ir"
@@ -116,51 +114,81 @@ func (s Summary) IPC() float64 {
 // budget is a valid (truncated) measurement, not an error — sampled
 // simulation is how design-space sweeps stay affordable.
 func Simulate(prog *isa.Program, setup func(*vm.VM) error, cfg Config, maxInstrs uint64) (Result, error) {
-	if err := cfg.Validate(); err != nil {
+	res, err := SimulateMany(prog, setup, []Config{cfg}, maxInstrs)
+	if err != nil {
 		return Result{}, err
 	}
-	if cfg.EPIC != cfg.ISA.EPIC {
-		return Result{}, fmt.Errorf("cpu: machine %s EPIC=%v but ISA %s EPIC=%v",
-			cfg.Name, cfg.EPIC, cfg.ISA.Name, cfg.ISA.EPIC)
+	return res[0], nil
+}
+
+// SimulateMany runs prog once and times that one execution on every
+// machine in cfgs, returning the results in config order. The dynamic
+// event stream is machine-independent, so the program is loaded, set up,
+// and interpreted once, and its read-only per-site tables are built once;
+// each event then fans out to every machine's timing model. Results are
+// identical to calling Simulate per config. Every config must target the
+// program's ISA (and so agree on EPIC); the first that does not is
+// rejected by name before anything runs.
+func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, maxInstrs uint64) ([]Result, error) {
+	for _, cfg := range cfgs {
+		if err := cfg.ValidateFor(prog.ISA); err != nil {
+			return nil, err
+		}
 	}
-	if prog.ISA != cfg.ISA {
-		return Result{}, fmt.Errorf("cpu: program compiled for %s, machine %s wants %s",
-			prog.ISA.Name, cfg.Name, cfg.ISA.Name)
+	if len(cfgs) == 0 {
+		return nil, nil
 	}
 	m := vm.New(prog)
 	if setup != nil {
 		if err := setup(m); err != nil {
-			return Result{}, err
+			return nil, err
 		}
 	}
 
-	var model timingModel
-	if cfg.EPIC {
-		model = newEPICModel(prog, cfg)
-	} else {
-		model = newOoOModel(prog, cfg)
+	sites, maxRegs := buildSites(prog), maxRegsOf(prog)
+	models := make([]timingModel, len(cfgs))
+	for i, cfg := range cfgs {
+		if cfg.EPIC {
+			models[i] = newEPICModel(sites, maxRegs, cfg)
+		} else {
+			models[i] = newOoOModel(sites, maxRegs, cfg)
+		}
 	}
-	runRes, err := m.Run(vm.Config{Hook: model.observe, MaxInstrs: maxInstrs})
+	hook := models[0].observe
+	if len(models) > 1 {
+		hook = func(ev *vm.Event) {
+			for _, md := range models {
+				md.observe(ev)
+			}
+		}
+	}
+	runRes, err := m.Run(vm.Config{Hook: hook, MaxInstrs: maxInstrs})
 	if err != nil {
 		t, ok := err.(*vm.Trap)
 		if !ok || maxInstrs == 0 || t.Reason != vm.TrapBudgetExhausted {
-			return Result{}, err
+			return nil, err
 		}
 		// Instruction budget exhausted: keep the truncated measurement.
 	}
-	res := model.finish()
-	res.Machine = cfg.Name
-	res.Run = runRes
-	res.Instrs = runRes.DynInstrs
-	if res.Cycles > 0 {
-		res.CPI = float64(res.Cycles) / float64(res.Instrs)
+	results := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		res := models[i].finish()
+		res.Machine = cfg.Name
+		res.Run = runRes
+		res.Instrs = runRes.DynInstrs
+		if res.Cycles > 0 {
+			res.CPI = float64(res.Cycles) / float64(res.Instrs)
+		}
+		if cfg.FreqGHz > 0 {
+			res.TimeSec = float64(res.Cycles) / (cfg.FreqGHz * 1e9)
+		}
+		results[i] = res
 	}
-	if cfg.FreqGHz > 0 {
-		res.TimeSec = float64(res.Cycles) / (cfg.FreqGHz * 1e9)
-	}
-	return res, nil
+	return results, nil
 }
 
+// timingModel is one machine's timing state over a run: it observes every
+// dynamic event and summarizes the timing at the end.
 type timingModel interface {
 	observe(ev *vm.Event)
 	finish() Result
@@ -219,7 +247,7 @@ func branchPC(fn, block, index int) uint64 {
 }
 
 // siteInfo is the per-static-site metadata both timing models need for
-// every dynamic instruction. It is precomputed once per simulation and
+// every dynamic instruction. It is precomputed once per program and
 // indexed by Event.Site, so observe never walks program structure, decodes
 // use/def operands, or hashes a map on the hot path.
 type siteInfo struct {
@@ -239,6 +267,18 @@ const (
 	kindRet
 )
 
+// maxRegsOf returns the largest per-function register count, the size
+// every model's register-ready table needs.
+func maxRegsOf(prog *isa.Program) int {
+	maxRegs := 0
+	for _, f := range prog.Funcs {
+		maxRegs = max(maxRegs, f.NumRegs)
+	}
+	return maxRegs
+}
+
+// buildSites precomputes the read-only site table every timing model of
+// one program shares.
 func buildSites(prog *isa.Program) []siteInfo {
 	lay := vm.LayoutOf(prog)
 	sites := make([]siteInfo, lay.NumSites())
@@ -309,10 +349,21 @@ func newStoreQueue(n int) *storeQueue {
 	return &storeQueue{q: make([]storeEntry, n)}
 }
 
+// at returns the ring index i entries past the head (i < len(sq.q)),
+// wrapping with a compare instead of a division: the store queue sits on
+// every load's and store's hot path.
+func (sq *storeQueue) at(i int) int {
+	j := sq.head + i
+	if j >= len(sq.q) {
+		j -= len(sq.q)
+	}
+	return j
+}
+
 // drain retires entries completed at or before now.
 func (sq *storeQueue) drain(now uint64) {
 	for sq.count > 0 && sq.q[sq.head].done <= now {
-		sq.head = (sq.head + 1) % len(sq.q)
+		sq.head = sq.at(1)
 		sq.count--
 	}
 }
@@ -330,7 +381,7 @@ func (sq *storeQueue) oldestDone() uint64 {
 
 // push enters a store (the caller guarantees space via drain/full).
 func (sq *storeQueue) push(e storeEntry) {
-	sq.q[(sq.head+sq.count)%len(sq.q)] = e
+	sq.q[sq.at(sq.count)] = e
 	sq.count++
 }
 
@@ -338,9 +389,9 @@ func (sq *storeQueue) push(e storeEntry) {
 // time t.
 func (sq *storeQueue) match(line uint64, t uint64) (storeEntry, bool) {
 	for i := sq.count - 1; i >= 0; i-- {
-		e := sq.q[(sq.head+i)%len(sq.q)]
+		e := &sq.q[sq.at(i)]
 		if e.line == line && e.done > t {
-			return e, true
+			return *e, true
 		}
 	}
 	return storeEntry{}, false
@@ -433,14 +484,7 @@ type ooOModel struct {
 	lastCompletion uint64
 }
 
-func newOoOModel(prog *isa.Program, cfg Config) *ooOModel {
-	maxRegs := 0
-	for _, f := range prog.Funcs {
-		if f.NumRegs > maxRegs {
-			maxRegs = f.NumRegs
-		}
-	}
-	sites := buildSites(prog)
+func newOoOModel(sites []siteInfo, maxRegs int, cfg Config) *ooOModel {
 	return &ooOModel{
 		cfg:        cfg,
 		hier:       newHierarchy(cfg),
@@ -465,7 +509,9 @@ func (m *ooOModel) observe(ev *vm.Event) {
 			m.cycle = head
 			m.fetchedThis = 0
 		}
-		m.robHead = (m.robHead + 1) % len(m.rob)
+		if m.robHead++; m.robHead == len(m.rob) {
+			m.robHead = 0
+		}
 		m.robCount--
 	}
 	m.fetchedThis++
@@ -549,7 +595,10 @@ func (m *ooOModel) observe(ev *vm.Event) {
 		m.lastCompletion = done
 	}
 	// Enter the ROB.
-	tail := (m.robHead + m.robCount) % len(m.rob)
+	tail := m.robHead + m.robCount
+	if tail >= len(m.rob) {
+		tail -= len(m.rob)
+	}
 	m.rob[tail] = done
 	m.robCount++
 }
@@ -590,18 +639,12 @@ type epicModel struct {
 	curKey uint64
 }
 
-func newEPICModel(prog *isa.Program, cfg Config) *epicModel {
-	maxRegs := 0
-	for _, f := range prog.Funcs {
-		if f.NumRegs > maxRegs {
-			maxRegs = f.NumRegs
-		}
-	}
+func newEPICModel(sites []siteInfo, maxRegs int, cfg Config) *epicModel {
 	return &epicModel{
 		cfg:    cfg,
 		hier:   newHierarchy(cfg),
 		pred:   newPredictor(cfg),
-		sites:  buildSites(prog),
+		sites:  sites,
 		regs:   newRegFile(maxRegs),
 		sq:     newStoreQueue(cfg.StoreQueue),
 		curKey: ^uint64(0), // no bundle yet

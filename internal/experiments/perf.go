@@ -42,35 +42,28 @@ func Fig10(suite []*workloads.Workload) (*Fig10Result, error) {
 	return DefaultRunner().Fig10(background(), suite)
 }
 
-// Fig10 runs detailed simulations of a 2-wide out-of-order processor.
+// Fig10 runs detailed simulations of a 2-wide out-of-order processor,
+// one cached Simulate-stage batch per program over the three L1 sizes.
 func (r *Runner) Fig10(ctx context.Context, suite []*workloads.Workload) (*Fig10Result, error) {
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (CPIRow, error) {
-		pair, err := r.P.PairAt(ctx, w, cpu.Simulated2Wide(8).ISA, compiler.O2)
-		if err != nil {
-			return CPIRow{}, err
-		}
-		row := CPIRow{Name: w.Name}
+	var cells []pipeline.SimCell
+	for _, w := range suite {
 		for _, kb := range Fig10L1Sizes {
-			cfg := cpu.Simulated2Wide(kb)
-			ro, err := cpu.Simulate(pair.Orig, w.Setup, cfg, 0)
-			if err != nil {
-				return CPIRow{}, fmt.Errorf("%s: %w", w.Name, err)
-			}
-			rs, err := cpu.Simulate(pair.Syn, nil, cfg, 0)
-			if err != nil {
-				return CPIRow{}, fmt.Errorf("%s clone: %w", w.Name, err)
-			}
-			row.Orig = append(row.Orig, ro.CPI)
-			row.Syn = append(row.Syn, rs.CPI)
+			cells = append(cells, pipeline.SimCell{Workload: w, Level: compiler.O2, Config: cpu.Simulated2Wide(kb)})
 		}
-		return row, nil
-	})
+	}
+	pairs, err := r.P.SimulateCells(ctx, cells, 0)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig10Result{Rows: rows}
+	res := &Fig10Result{}
 	var allOrig, allSyn []float64
-	for _, row := range rows {
+	for wi, w := range suite {
+		row := CPIRow{Name: w.Name}
+		for _, pair := range pairs[wi*len(Fig10L1Sizes) : (wi+1)*len(Fig10L1Sizes)] {
+			row.Orig = append(row.Orig, pair.Orig.CPI)
+			row.Syn = append(row.Syn, pair.Syn.CPI)
+		}
+		res.Rows = append(res.Rows, row)
 		allOrig = append(allOrig, row.Orig...)
 		allSyn = append(allSyn, row.Syn...)
 	}
@@ -116,39 +109,27 @@ func Fig11(suite []*workloads.Workload) (*Fig11Result, error) {
 
 // fig11Job is one cell of the machine × level × workload cross product.
 type fig11Job struct {
-	machine  int
-	level    int
-	workload *workloads.Workload
+	machine int
+	level   int
 }
 
 // Fig11 measures normalized execution time across machines and levels by
-// fanning the full cross product out as one job list.
+// simulating the full cross product as cached Simulate-stage cells; the
+// machines sharing an ISA batch onto one interpretation per program.
 func (r *Runner) Fig11(ctx context.Context, suite []*workloads.Workload) (*Fig11Result, error) {
-	var jobs []fig11Job
-	for mi := range cpu.Machines {
-		for li := range compiler.Levels {
+	var (
+		jobs  []fig11Job
+		cells []pipeline.SimCell
+	)
+	for mi, machine := range cpu.Machines {
+		for li, level := range compiler.Levels {
 			for _, w := range suite {
-				jobs = append(jobs, fig11Job{machine: mi, level: li, workload: w})
+				jobs = append(jobs, fig11Job{machine: mi, level: li})
+				cells = append(cells, pipeline.SimCell{Workload: w, Level: level, Config: machine})
 			}
 		}
 	}
-	type cell struct{ orig, syn float64 }
-	cells, err := pipeline.Map(ctx, r.P, jobs, func(ctx context.Context, j fig11Job) (cell, error) {
-		machine := cpu.Machines[j.machine]
-		pair, err := r.P.PairAt(ctx, j.workload, machine.ISA, compiler.Levels[j.level])
-		if err != nil {
-			return cell{}, err
-		}
-		ro, err := cpu.Simulate(pair.Orig, j.workload.Setup, machine, 0)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s on %s: %w", j.workload.Name, machine.Name, err)
-		}
-		rs, err := cpu.Simulate(pair.Syn, nil, machine, 0)
-		if err != nil {
-			return cell{}, fmt.Errorf("%s clone on %s: %w", j.workload.Name, machine.Name, err)
-		}
-		return cell{orig: ro.TimeSec, syn: rs.TimeSec}, nil
-	})
+	pairs, err := r.P.SimulateCells(ctx, cells, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -167,8 +148,8 @@ func (r *Runner) Fig11(ctx context.Context, suite []*workloads.Workload) (*Fig11
 	// Aggregate in job order so the floating-point sums are identical for
 	// any worker count.
 	for i, j := range jobs {
-		res.Orig[j.machine][j.level] += cells[i].orig
-		res.Syn[j.machine][j.level] += cells[i].syn
+		res.Orig[j.machine][j.level] += pairs[i].Orig.TimeSec
+		res.Syn[j.machine][j.level] += pairs[i].Syn.TimeSec
 	}
 
 	// Normalize both series to their own P4-3.0GHz -O0 value.

@@ -30,17 +30,19 @@ func (sw *Sweep) cells() []cell {
 }
 
 // Run evaluates the sweep on p's worker pool: every cell simulates the
-// original and its clone through the pipeline's cached Simulate stage,
-// then the per-point metrics and the ranked report are aggregated in
-// deterministic cell order. A warm rerun of the same sweep over the same
-// store computes zero simulate-stage artifacts.
+// original and its clone through the pipeline's cached Simulate stage
+// (batched per program, see pipeline.SimulateCells), then the per-point
+// metrics and the ranked report are aggregated in deterministic cell
+// order. A warm rerun of the same sweep over the same store computes
+// zero simulate-stage artifacts.
 func Run(ctx context.Context, p *pipeline.Pipeline, sw *Sweep) (*Report, error) {
 	cs := sw.cells()
-	pairs, err := pipeline.Map(ctx, p, cs, func(ctx context.Context, c cell) (pipeline.SimPair, error) {
-		pt := sw.Points[c.pi]
-		return p.SimulatePair(ctx, sw.Workloads[c.wi], pt.Config().ISA, sw.Levels[c.li],
-			pt.Config(), sw.Spec.MaxInstrs)
-	})
+	sims := make([]pipeline.SimCell, len(cs))
+	for i, c := range cs {
+		sims[i] = pipeline.SimCell{Workload: sw.Workloads[c.wi], Level: sw.Levels[c.li],
+			Config: sw.Points[c.pi].Config()}
+	}
+	pairs, err := p.SimulateCells(ctx, sims, sw.Spec.MaxInstrs)
 	if err != nil {
 		return nil, err
 	}
@@ -49,29 +51,21 @@ func Run(ctx context.Context, p *pipeline.Pipeline, sw *Sweep) (*Report, error) 
 
 // RunWorkload evaluates every (point, level) cell of one workload,
 // populating the simulation cache without aggregating a report — the
-// library entry point for embedding a per-workload drain. It mirrors
-// cluster.Worker's exploration-job execution (which re-implements the
-// same SimulatePair loop because cluster cannot import this package);
-// both paths reduce to identical SimulatePair calls, and two tests pin
-// them together: TestRunWorkloadWarmsRun (RunWorkload leaves Run with
+// library entry point for embedding a per-workload drain. It and
+// cluster.Worker's exploration jobs make the same pipeline.SimulateCells
+// call over the same cells, so both store exactly what Run would; two
+// tests pin that: TestRunWorkloadWarmsRun (RunWorkload leaves Run with
 // zero simulate computations) and cmd/synth's TestClusterExploreSharded
 // (a sharded drain's store is byte-identical to a solo run's).
 func RunWorkload(ctx context.Context, p *pipeline.Pipeline, sw *Sweep, w *workloads.Workload) error {
-	type pl struct {
-		pi int
-		l  compiler.OptLevel
-	}
-	var jobs []pl
-	for pi := range sw.Points {
+	var sims []pipeline.SimCell
+	for _, pt := range sw.Points {
 		for _, l := range sw.Levels {
-			jobs = append(jobs, pl{pi: pi, l: l})
+			sims = append(sims, pipeline.SimCell{Workload: w, Level: l, Config: pt.Config()})
 		}
 	}
-	return pipeline.ForEach(ctx, p, jobs, func(ctx context.Context, j pl) error {
-		pt := sw.Points[j.pi]
-		_, err := p.SimulatePair(ctx, w, pt.Config().ISA, j.l, pt.Config(), sw.Spec.MaxInstrs)
-		return err
-	})
+	_, err := p.SimulateCells(ctx, sims, sw.Spec.MaxInstrs)
+	return err
 }
 
 // buildReport aggregates the sweep's cell results into per-point rows,

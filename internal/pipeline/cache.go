@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io/fs"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/store"
+	"repro/internal/telemetry"
 )
 
 // Key identifies one artifact in the content-addressed cache. Two jobs that
@@ -286,16 +288,11 @@ func (c *artifactCache) do(ctx context.Context, k Key, cd *codec, fn func(contex
 			// Persisted stage over a shared store: gate the computation on a
 			// cross-process in-progress marker so concurrent processes never
 			// duplicate it. computeGated writes the artifact through itself.
-			e.val, e.err = c.computeGated(ctx, k, cd, fn)
+			e.val, e.err = c.computeGated(ctx, k, cd, false, fn)
 		} else {
 			e.val, e.err = c.compute(ctx, k, fn)
 		}
-		if e.err != nil {
-			c.mu.Lock()
-			delete(c.m, k)
-			c.mu.Unlock()
-		}
-		close(e.ready)
+		c.settle(k, e)
 		return e.val, e.err
 	}
 }
@@ -304,31 +301,206 @@ func (c *artifactCache) do(ctx context.Context, k Key, cd *codec, fn func(contex
 // it into the stage duration histogram, and wrapping it in a span named
 // after the stage so nested stage calls trace as children.
 func (c *artifactCache) compute(ctx context.Context, k Key, fn func(context.Context) (any, error)) (any, error) {
-	c.misses.Add(1)
-	c.tm.misses.Inc()
-	inRange := int(k.Stage) < len(c.computed)
-	if inRange {
-		c.computed[k.Stage].Add(1)
-		c.tm.computed[k.Stage].Inc()
-	}
-	ctx, span := c.tm.tracer.Start(ctx, k.Stage.String())
-	span.SetAttr("workload", k.Workload)
-	if k.ISA != "" {
-		span.SetAttr("isa", k.ISA)
-	}
-	if k.Clone {
-		span.SetAttr("clone", "true")
+	vs, err := c.computeKeys(ctx, []Key{k}, func(ctx context.Context) ([]any, error) {
+		v, err := fn(ctx)
+		return []any{v}, err
+	})
+	return vs[0], err
+}
+
+// computeKeys runs fn once to compute the artifacts of every key in ks
+// (fn returns them in key order). Accounting stays per key: each key
+// counts as one miss and one computation, gets its own span covering the
+// shared computation, and observes an equal share of its wall time in the
+// stage histogram, so the histogram's sum stays the time actually spent.
+// fn runs under the first key's span context, so nested stage calls trace
+// as that span's children.
+func (c *artifactCache) computeKeys(ctx context.Context, ks []Key, fn func(context.Context) ([]any, error)) ([]any, error) {
+	c.misses.Add(uint64(len(ks)))
+	spans := make([]*telemetry.Span, len(ks))
+	fnCtx := ctx
+	for i, k := range ks {
+		c.tm.misses.Inc()
+		if int(k.Stage) < len(c.computed) {
+			c.computed[k.Stage].Add(1)
+			c.tm.computed[k.Stage].Inc()
+		}
+		sctx, span := c.tm.tracer.Start(ctx, k.Stage.String())
+		span.SetAttr("workload", k.Workload)
+		if k.ISA != "" {
+			span.SetAttr("isa", k.ISA)
+		}
+		if k.Clone {
+			span.SetAttr("clone", "true")
+		}
+		if len(ks) > 1 {
+			span.SetAttr("batch", strconv.Itoa(len(ks)))
+		}
+		if i == 0 {
+			fnCtx = sctx
+		}
+		spans[i] = span
 	}
 	start := time.Now()
-	v, err := fn(ctx)
-	if inRange {
-		c.tm.seconds[k.Stage].ObserveSince(start)
+	vs, err := fn(fnCtx)
+	share := time.Since(start).Seconds() / float64(len(ks))
+	for i, k := range ks {
+		if int(k.Stage) < len(c.computed) {
+			c.tm.seconds[k.Stage].Observe(share)
+		}
+		if err != nil {
+			spans[i].SetAttr("error", err.Error())
+		}
+		spans[i].End()
 	}
 	if err != nil {
-		span.SetAttr("error", err.Error())
+		return make([]any, len(ks)), err
 	}
-	span.End()
-	return v, err
+	return vs, nil
+}
+
+// claim is one key of a doMany batch whose in-memory entry this call
+// installed. marker names the cross-process in-progress marker the call
+// holds for it ("" = none: a memory-only stage, or a marker-path flake
+// that degrades to an uncoordinated compute).
+type claim struct {
+	i      int
+	e      *entry
+	marker string
+}
+
+// doMany resolves every key in keys exactly as do resolves one —
+// memory, then disk, then computation with write-through, under the
+// same single-flight entries and in-progress markers — but computes all
+// the keys it can claim outright with a single call of fn. fn receives
+// the indexes (into keys) of those keys and returns their artifacts in
+// that order. Keys another caller is already computing — in this
+// process, or in another one holding the key's marker — are resolved
+// only after the batch finishes, one at a time through do's path, so
+// two overlapping batches never wait on each other while holding
+// claims. Results are returned in key order.
+func (c *artifactCache) doMany(ctx context.Context, keys []Key, cd *codec, fn func(ctx context.Context, idx []int) ([]any, error)) ([]any, error) {
+	single := func(i int) func(context.Context) (any, error) {
+		return func(ctx context.Context) (any, error) {
+			vs, err := fn(ctx, []int{i})
+			if err != nil {
+				return nil, err
+			}
+			return vs[0], nil
+		}
+	}
+	vals := make([]any, len(keys))
+	var owned, foreign []claim
+	var shared []int
+	for i, k := range keys {
+		c.mu.Lock()
+		if _, ok := c.m[k]; ok {
+			c.mu.Unlock()
+			shared = append(shared, i)
+			continue
+		}
+		e := &entry{ready: make(chan struct{})}
+		c.m[k] = e
+		c.mu.Unlock()
+
+		v, ok := c.fromDisk(k, cd)
+		cl := claim{i: i, e: e}
+		if !ok && c.disk != nil && cd != nil {
+			marker := wipName(k)
+			switch err := c.disk.CreateExclusive(marker, []byte(k.Canonical())); {
+			case err == nil:
+				// Another process may have written the artifact and
+				// released its marker since our miss: look again.
+				if v, ok = c.fromDisk(k, cd); ok {
+					c.disk.Remove(marker)
+				} else {
+					cl.marker = marker
+				}
+			case errors.Is(err, fs.ErrExist):
+				foreign = append(foreign, cl) // another process is computing it
+				continue
+			default:
+				c.diskErrors.Add(1) // marker-path flake: compute uncoordinated
+				c.tm.diskErrors.Inc()
+			}
+		}
+		if ok {
+			c.diskHits.Add(1)
+			c.tm.diskHits.Inc()
+			e.val = v
+			close(e.ready)
+			vals[i] = v
+			continue
+		}
+		owned = append(owned, cl)
+	}
+
+	err := c.computeClaims(ctx, keys, cd, owned, fn, vals)
+	for _, cl := range foreign {
+		if err == nil {
+			cl.e.val, cl.e.err = c.computeGated(ctx, keys[cl.i], cd, true, single(cl.i))
+			vals[cl.i], err = cl.e.val, cl.e.err
+		} else {
+			cl.e.err = err
+		}
+		c.settle(keys[cl.i], cl.e)
+	}
+	for _, i := range shared {
+		if err != nil {
+			break
+		}
+		vals[i], err = c.do(ctx, keys[i], cd, single(i))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return vals, nil
+}
+
+// computeClaims computes every owned claim of a doMany batch with one
+// call of fn, heartbeating their markers meanwhile; it writes the
+// artifacts through, releases the markers, and settles the entries.
+func (c *artifactCache) computeClaims(ctx context.Context, keys []Key, cd *codec, owned []claim, fn func(context.Context, []int) ([]any, error), vals []any) error {
+	if len(owned) == 0 {
+		return nil
+	}
+	idx := make([]int, len(owned))
+	ks := make([]Key, len(owned))
+	var markers []string
+	for j, cl := range owned {
+		idx[j], ks[j] = cl.i, keys[cl.i]
+		if cl.marker != "" {
+			markers = append(markers, cl.marker)
+		}
+	}
+	stop := c.heartbeat(markers)
+	vs, err := c.computeKeys(ctx, ks, func(ctx context.Context) ([]any, error) { return fn(ctx, idx) })
+	for j, cl := range owned {
+		if err == nil {
+			c.toDisk(ks[j], cd, vs[j])
+		}
+		cl.e.val, cl.e.err = vs[j], err
+		vals[cl.i] = vs[j]
+	}
+	stop()
+	for _, m := range markers {
+		c.disk.Remove(m)
+	}
+	for _, cl := range owned {
+		c.settle(keys[cl.i], cl.e)
+	}
+	return err
+}
+
+// settle publishes a finished entry to its waiters, first dropping it
+// from the map when it failed (failed computations are not cached).
+func (c *artifactCache) settle(k Key, e *entry) {
+	if e.err != nil {
+		c.mu.Lock()
+		delete(c.m, k)
+		c.mu.Unlock()
+	}
+	close(e.ready)
 }
 
 // The in-progress marker timings. A process that vanishes mid-computation
@@ -353,10 +525,11 @@ func wipName(k Key) string {
 // removes the marker; losers poll for the artifact and adopt it as a disk
 // hit. A stale marker (no heartbeat for wipTTL) is stolen, and any marker
 // operation failing for other reasons degrades to an uncoordinated compute:
-// the gate is a dedup optimization, never a correctness gate.
-func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn func(context.Context) (any, error)) (any, error) {
+// the gate is a dedup optimization, never a correctness gate. retried
+// reports that the caller already found another process's marker, so a
+// claim won here may postdate that process's write-through.
+func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, retried bool, fn func(context.Context) (any, error)) (any, error) {
 	marker := wipName(k)
-	retried := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -417,7 +590,23 @@ func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, fn f
 // that observes the marker disappear without an artifact knows the owner
 // failed.
 func (c *artifactCache) computeOwned(ctx context.Context, k Key, cd *codec, marker string, fn func(context.Context) (any, error)) (any, error) {
-	stop := make(chan struct{})
+	stop := c.heartbeat([]string{marker})
+	v, err := c.compute(ctx, k, fn)
+	if err == nil {
+		c.toDisk(k, cd, v)
+	}
+	stop()
+	c.disk.Remove(marker)
+	return v, err
+}
+
+// heartbeat touches every marker each wipTTL/3 until the returned stop
+// function is called (stop waits for the heartbeat goroutine to exit).
+func (c *artifactCache) heartbeat(markers []string) (stop func()) {
+	if len(markers) == 0 {
+		return func() {}
+	}
+	quit := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -425,19 +614,17 @@ func (c *artifactCache) computeOwned(ctx context.Context, k Key, cd *codec, mark
 		defer t.Stop()
 		for {
 			select {
-			case <-stop:
+			case <-quit:
 				return
 			case <-t.C:
-				c.disk.Touch(marker)
+				for _, m := range markers {
+					c.disk.Touch(m)
+				}
 			}
 		}
 	}()
-	v, err := c.compute(ctx, k, fn)
-	if err == nil {
-		c.toDisk(k, cd, v)
+	return func() {
+		close(quit)
+		<-done
 	}
-	close(stop)
-	<-done
-	c.disk.Remove(marker)
-	return v, err
 }

@@ -8,10 +8,21 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/workloads"
 )
 
 // simCfg is the machine the Simulate-stage tests run on.
 func simCfg() cpu.Config { return cpu.Simulated2Wide(16) }
+
+// simPair simulates w's original and clone at -O2 on simCfg: one
+// SimulateCells cell.
+func simPair(ctx context.Context, p *pipeline.Pipeline, w *workloads.Workload, maxInstrs uint64) (pipeline.SimPair, error) {
+	pairs, err := p.SimulateCells(ctx, []pipeline.SimCell{{Workload: w, Level: compiler.O2, Config: simCfg()}}, maxInstrs)
+	if err != nil {
+		return pipeline.SimPair{}, err
+	}
+	return pairs[0], nil
+}
 
 // TestPipelineSimulateCached verifies the Simulate stage is a first-class
 // cached artifact: the pair's two simulations compute exactly twice, a
@@ -22,7 +33,7 @@ func TestPipelineSimulateCached(t *testing.T) {
 	p := pipeline.New(pipeline.Options{Workers: 2, Seed: 7})
 	w := mustWorkload(t, "crc32/small")
 
-	pair, err := p.SimulatePair(ctx, w, isa.AMD64, compiler.O2, simCfg(), 0)
+	pair, err := simPair(ctx, p, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +44,7 @@ func TestPipelineSimulateCached(t *testing.T) {
 		t.Fatalf("pair computed %d simulations, want 2", got)
 	}
 
-	again, err := p.SimulatePair(ctx, w, isa.AMD64, compiler.O2, simCfg(), 0)
+	again, err := simPair(ctx, p, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +97,13 @@ func TestPipelineSimulateDiskWarm(t *testing.T) {
 	w := mustWorkload(t, "crc32/small")
 
 	cold := pipeline.New(pipeline.Options{Workers: 2, Seed: 7, Store: openStore(t, dir)})
-	pair, err := cold.SimulatePair(ctx, w, isa.AMD64, compiler.O2, simCfg(), 0)
+	pair, err := simPair(ctx, cold, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	warm := pipeline.New(pipeline.Options{Workers: 2, Seed: 7, Store: openStore(t, dir)})
-	got, err := warm.SimulatePair(ctx, w, isa.AMD64, compiler.O2, simCfg(), 0)
+	got, err := simPair(ctx, warm, w, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +118,7 @@ func TestPipelineSimulateDiskWarm(t *testing.T) {
 
 // TestSimKeysMatchStoredDigests guards SimKeys against drifting from the
 // keys Simulate actually persists under, the way PairKeys is guarded:
-// after one SimulatePair, both advertised keys must exist in the store.
+// after one simulated cell, both advertised keys must exist in the store.
 func TestSimKeysMatchStoredDigests(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -115,7 +126,7 @@ func TestSimKeysMatchStoredDigests(t *testing.T) {
 	p := pipeline.New(pipeline.Options{Workers: 2, Seed: 7, Store: s})
 	w := mustWorkload(t, "crc32/small")
 
-	if _, err := p.SimulatePair(ctx, w, isa.AMD64, compiler.O2, simCfg(), 12345); err != nil {
+	if _, err := simPair(ctx, p, w, 12345); err != nil {
 		t.Fatal(err)
 	}
 	keys := p.SimKeys(w, isa.AMD64, compiler.O2, simCfg(), 12345)
