@@ -53,10 +53,13 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// line is one cache way. key holds the line's tag plus one, so the zero
+// line is invalid without a separate flag and a way fits in 16 bytes; the
+// key wraps only for the all-ones address under one-byte lines, which no
+// simulated data address reaches.
 type line struct {
-	tag   uint64
-	valid bool
-	used  uint64 // LRU timestamp
+	key  uint64
+	used uint64 // LRU timestamp
 }
 
 // Cache is a set-associative LRU cache model. It tracks presence only (no
@@ -65,7 +68,8 @@ type line struct {
 // the load hit rates reports quote are not diluted by store fills.
 type Cache struct {
 	cfg        Config
-	sets       [][]line
+	lines      []line // set-major: set s owns lines[s*assoc : (s+1)*assoc]
+	assoc      uint64
 	setShift   uint
 	setMask    uint64
 	tick       uint64
@@ -83,10 +87,7 @@ func New(cfg Config) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two", nsets))
 	}
-	c := &Cache{cfg: cfg, sets: make([][]line, nsets)}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
+	c := &Cache{cfg: cfg, lines: make([]line, nsets*cfg.Assoc), assoc: uint64(cfg.Assoc)}
 	c.setShift = uint(log2(cfg.LineSize))
 	c.setMask = uint64(nsets - 1)
 	return c
@@ -121,11 +122,12 @@ func (c *Cache) AccessStore(addr uint64) bool {
 func (c *Cache) access(addr uint64, st *Stats) bool {
 	c.tick++
 	st.Accesses++
-	set := (addr >> c.setShift) & c.setMask
 	tag := addr >> c.setShift
-	lines := c.sets[set]
+	first := (tag & c.setMask) * c.assoc
+	lines := c.lines[first : first+c.assoc]
+	key := tag + 1
 	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
+		if lines[i].key == key {
 			lines[i].used = c.tick
 			return true
 		}
@@ -133,7 +135,7 @@ func (c *Cache) access(addr uint64, st *Stats) bool {
 	st.Misses++
 	victim := 0
 	for i := range lines {
-		if !lines[i].valid {
+		if lines[i].key == 0 {
 			victim = i
 			break
 		}
@@ -141,17 +143,13 @@ func (c *Cache) access(addr uint64, st *Stats) bool {
 			victim = i
 		}
 	}
-	lines[victim] = line{tag: tag, valid: true, used: c.tick}
+	lines[victim] = line{key: key, used: c.tick}
 	return false
 }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for _, s := range c.sets {
-		for i := range s {
-			s[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.tick = 0
 	c.Stats = Stats{}
 	c.StoreStats = Stats{}

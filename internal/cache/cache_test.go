@@ -195,3 +195,31 @@ func TestReset(t *testing.T) {
 		t.Error("contents not cleared")
 	}
 }
+
+// TestZeroTagValidity pins the tag+1 line encoding: address 0 has tag 0,
+// which must still fill and then hit, and Reset must leave every way
+// invalid so no address hits a cleared cache.
+func TestZeroTagValidity(t *testing.T) {
+	c := New(Config{Size: 1024, LineSize: 32, Assoc: 4})
+	if c.Access(0) {
+		t.Fatal("cold access to address 0 hit an empty cache")
+	}
+	if !c.Access(0) || !c.AccessStore(31) {
+		t.Fatal("address 0 did not fill: a tag-0 line is treated as invalid")
+	}
+	// Fill every way of every set, then clear.
+	for a := uint64(0); a < 4*1024; a += 32 {
+		c.Access(a)
+	}
+	c.Reset()
+	for i, ln := range c.lines {
+		if ln != (line{}) {
+			t.Fatalf("way %d still holds %+v after Reset", i, ln)
+		}
+	}
+	for a := uint64(0); a < 4*1024; a += 32 {
+		if c.Access(a) {
+			t.Fatalf("address %#x hit after Reset", a)
+		}
+	}
+}

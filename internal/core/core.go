@@ -52,9 +52,6 @@ type Config struct {
 	MaxSkeletonItems int
 }
 
-// debugSynth enables synthesis calibration tracing (tests only).
-var debugSynth = false
-
 // DefaultTargetDyn is the default synthetic dynamic instruction target.
 const DefaultTargetDyn = 150_000
 
@@ -236,12 +233,6 @@ func Synthesize(p *profile.Profile, cfg Config) (*hlc.Program, Report, error) {
 			actual, mix, miss, err := measureClone(prog, budget, profCache)
 			if err != nil {
 				return nil, rep, fmt.Errorf("core: mix calibration: %w", err)
-			}
-			if debugSynth {
-				fmt.Printf("[cal] attempt=%d dyn=%d loadFrac=%.3f/%.3f brFrac=%.3f/%.3f missPI=%.5f/%.5f compDyn=%.0f scale=%.2f brPI=%.1f fp=%.2f\n",
-					attempt, actual, float64(mix[isa.ClassLoad])/float64(actual), targetLoadFrac,
-					float64(mix[isa.ClassBranch])/float64(actual), targetBrFrac,
-					miss, targetMiss, compDyn, missScale, brPerIter, fpShare)
 			}
 			if float64(actual) > maxTotal && compDyn > 0 {
 				compDyn -= float64(actual) - maxTotal

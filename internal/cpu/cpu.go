@@ -45,6 +45,11 @@ type Config struct {
 	EPIC bool // in-order, bundle-driven (requires cfg.ISA.EPIC code)
 
 	// NewPredictor constructs the branch predictor (nil = DefaultHybrid).
+	// The predictor's Name is its identity: two constructors whose
+	// predictors share a Name must build the same predictor. Batched
+	// simulation (SimulateMany) shares one instance between such configs,
+	// just as CanonicalConfig and the fingerprint already treat them as one
+	// machine.
 	NewPredictor func() bpred.Predictor
 }
 
@@ -124,8 +129,13 @@ func Simulate(prog *isa.Program, setup func(*vm.VM) error, cfg Config, maxInstrs
 // SimulateMany runs prog once and times that one execution on every
 // machine in cfgs, returning the results in config order. The dynamic
 // event stream is machine-independent, so the program is loaded, set up,
-// and interpreted once, and its read-only per-site tables are built once;
-// each event then fans out to every machine's timing model. Results are
+// and interpreted once, and its read-only per-site tables are built once.
+// Events are collected into fixed-size blocks; each full block (and the
+// final partial one) is first run through every distinct branch predictor
+// — prediction depends only on the branch stream, so machines whose
+// predictors share a Name share one instance — and then through each
+// machine's timing model in turn, one model over the whole block at a
+// time so its state stays resident in the host cache. Results are
 // identical to calling Simulate per config. Every config must target the
 // program's ISA (and so agree on EPIC); the first that does not is
 // rejected by name before anything runs.
@@ -146,20 +156,40 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 	}
 
 	sites, maxRegs := buildSites(prog), maxRegsOf(prog)
+	var preds []*predSlot
+	slotOf := map[string]*predSlot{}
 	models := make([]timingModel, len(cfgs))
+	modelPred := make([]*predSlot, len(cfgs))
 	for i, cfg := range cfgs {
+		p := newPredictor(cfg)
+		ps := slotOf[p.Name()]
+		if ps == nil {
+			ps = &predSlot{p: p}
+			slotOf[p.Name()] = ps
+			preds = append(preds, ps)
+		}
+		modelPred[i] = ps
 		if cfg.EPIC {
 			models[i] = newEPICModel(sites, maxRegs, cfg)
 		} else {
 			models[i] = newOoOModel(sites, maxRegs, cfg)
 		}
 	}
-	hook := models[0].observe
-	if len(models) > 1 {
-		hook = func(ev *vm.Event) {
-			for _, md := range models {
-				md.observe(ev)
-			}
+
+	blk := new(block)
+	flush := func() {
+		for _, ps := range preds {
+			ps.resolve(blk, sites)
+		}
+		for i, md := range models {
+			md.observeBlock(blk, &modelPred[i].miss)
+		}
+		blk.n = 0
+	}
+	hook := func(ev *vm.Event) {
+		blk.ev[blk.n] = event{addr: ev.Addr, site: int32(ev.Site), taken: ev.Taken}
+		if blk.n++; blk.n == blockSize {
+			flush()
 		}
 	}
 	runRes, err := m.Run(vm.Config{Hook: hook, MaxInstrs: maxInstrs})
@@ -169,6 +199,9 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 			return nil, err
 		}
 		// Instruction budget exhausted: keep the truncated measurement.
+	}
+	if blk.n > 0 {
+		flush()
 	}
 	results := make([]Result, len(cfgs))
 	for i, cfg := range cfgs {
@@ -182,15 +215,68 @@ func SimulateMany(prog *isa.Program, setup func(*vm.VM) error, cfgs []Config, ma
 		if cfg.FreqGHz > 0 {
 			res.TimeSec = float64(res.Cycles) / (cfg.FreqGHz * 1e9)
 		}
+		ps := modelPred[i]
+		res.Branches, res.Mispredicts, res.BranchAcc = ps.branches, ps.mispredicts, 1
+		if ps.branches > 0 {
+			res.BranchAcc = 1 - float64(ps.mispredicts)/float64(ps.branches)
+		}
 		results[i] = res
 	}
 	return results, nil
 }
 
-// timingModel is one machine's timing state over a run: it observes every
-// dynamic event and summarizes the timing at the end.
+// blockSize is how many dynamic events SimulateMany collects before
+// handing them to the predictors and timing models.
+const blockSize = 256
+
+// event is the slim copy of a vm.Event a block keeps: only what the
+// predictors and timing models read.
+type event struct {
+	addr  uint64 // data address (loads and stores)
+	site  int32  // static site, indexing the shared siteInfo table
+	taken bool   // branch outcome
+}
+
+// block is a run of consecutive dynamic events; n are valid.
+type block struct {
+	ev [blockSize]event
+	n  int
+}
+
+// predSlot is one branch predictor shared by every machine in a batch
+// whose predictor has the same Name, with its branch statistics and the
+// per-event mispredict bits of the current block.
+type predSlot struct {
+	p                     bpred.Predictor
+	branches, mispredicts uint64
+	miss                  [blockSize]bool // set exactly at mispredicted branches
+}
+
+// resolve predicts and trains on every branch of blk in order, marking
+// the events that are branches the predictor got wrong.
+func (ps *predSlot) resolve(blk *block, sites []siteInfo) {
+	for i := range blk.ev[:blk.n] {
+		e := &blk.ev[i]
+		si := &sites[e.site]
+		wrong := false
+		if si.kind == kindBranch {
+			wrong = ps.p.Predict(si.pc) != e.taken
+			ps.p.Update(si.pc, e.taken)
+			ps.branches++
+			if wrong {
+				ps.mispredicts++
+			}
+		}
+		ps.miss[i] = wrong
+	}
+}
+
+// timingModel is one machine's timing state over a run: it observes the
+// dynamic events a block at a time, given which branches its predictor
+// mispredicted, and summarizes the timing (all but the branch statistics,
+// which the shared predictor keeps) at the end.
 type timingModel interface {
-	observe(ev *vm.Event)
+	observeBlock(blk *block, miss *[blockSize]bool)
 	finish() Result
 }
 
@@ -342,11 +428,11 @@ type storeQueue struct {
 	count int
 }
 
-func newStoreQueue(n int) *storeQueue {
+func newStoreQueue(n int) storeQueue {
 	if n <= 0 {
 		n = DefaultStoreQueue
 	}
-	return &storeQueue{q: make([]storeEntry, n)}
+	return storeQueue{q: make([]storeEntry, n)}
 }
 
 // at returns the ring index i entries past the head (i < len(sq.q)),
@@ -404,11 +490,17 @@ func (sq *storeQueue) match(line uint64, t uint64) (storeEntry, bool) {
 // stamp matches the current frame. A CALL's return-value register is
 // defined when the matching RET resolves, in the caller's frame.
 type regFile struct {
-	ready []uint64
-	stamp []uint32
+	regs  []regState
 	frame uint32
 	next  uint32
 	calls []frameRet
+}
+
+// regState is one register's readiness and the frame stamp it applies
+// to, kept together so a lookup touches one cache line.
+type regState struct {
+	ready uint64
+	stamp uint32
 }
 
 // frameRet records, per active call, the caller's frame stamp and the
@@ -418,18 +510,17 @@ type frameRet struct {
 	ret   isa.RegID
 }
 
-func newRegFile(maxRegs int) *regFile {
-	return &regFile{
-		ready: make([]uint64, maxRegs+1),
-		stamp: make([]uint32, maxRegs+1),
-	}
+func newRegFile(maxRegs int) regFile {
+	return regFile{regs: make([]regState, maxRegs+1)}
 }
 
 // readyAt folds register r's readiness into start (identity when r is
 // unwritten in the current frame).
 func (rf *regFile) readyAt(r isa.RegID, start uint64) uint64 {
-	if r != isa.NoReg && rf.stamp[r] == rf.frame && rf.ready[r] > start {
-		return rf.ready[r]
+	if r != isa.NoReg {
+		if rs := &rf.regs[r]; rs.stamp == rf.frame && rs.ready > start {
+			return rs.ready
+		}
 	}
 	return start
 }
@@ -437,8 +528,7 @@ func (rf *regFile) readyAt(r isa.RegID, start uint64) uint64 {
 // define marks register r ready at time t in the current frame.
 func (rf *regFile) define(r isa.RegID, t uint64) {
 	if r != isa.NoReg {
-		rf.ready[r] = t
-		rf.stamp[r] = rf.frame
+		rf.regs[r] = regState{ready: t, stamp: rf.frame}
 	}
 }
 
@@ -467,16 +557,12 @@ func (rf *regFile) ret(t uint64) {
 type ooOModel struct {
 	cfg   Config
 	hier  *cache.Hierarchy
-	pred  bpred.Predictor
 	sites []siteInfo
-	stats struct {
-		branches, mispredicts uint64
-	}
 
 	cycle          uint64 // current fetch cycle
 	fetchedThis    int    // instructions dispatched in the current cycle
-	regs           *regFile
-	sq             *storeQueue
+	regs           regFile
+	sq             storeQueue
 	depTrained     []bool   // per load site: store-set predictor entry
 	rob            []uint64 // completion times, ring buffer of ROB size
 	robHead        int
@@ -488,7 +574,6 @@ func newOoOModel(sites []siteInfo, maxRegs int, cfg Config) *ooOModel {
 	return &ooOModel{
 		cfg:        cfg,
 		hier:       newHierarchy(cfg),
-		pred:       newPredictor(cfg),
 		sites:      sites,
 		regs:       newRegFile(maxRegs),
 		sq:         newStoreQueue(cfg.StoreQueue),
@@ -497,7 +582,15 @@ func newOoOModel(sites []siteInfo, maxRegs int, cfg Config) *ooOModel {
 	}
 }
 
-func (m *ooOModel) observe(ev *vm.Event) {
+func (m *ooOModel) observeBlock(blk *block, miss *[blockSize]bool) {
+	for i := range blk.ev[:blk.n] {
+		m.observe(&blk.ev[i], miss[i])
+	}
+}
+
+// observe times one event; mispredicted is set when it is a branch its
+// predictor got wrong.
+func (m *ooOModel) observe(ev *event, mispredicted bool) {
 	// Dispatch: bounded by width and ROB occupancy.
 	if m.fetchedThis >= m.cfg.Width {
 		m.cycle++
@@ -516,14 +609,14 @@ func (m *ooOModel) observe(ev *vm.Event) {
 	}
 	m.fetchedThis++
 
-	si := &m.sites[ev.Site]
+	si := &m.sites[ev.site]
 	start := m.regs.readyAt(si.u1, m.cycle)
 	start = m.regs.readyAt(si.u2, start)
 
 	var lat uint64
 	switch si.kind {
 	case kindLoad:
-		line := ev.Addr >> lineShift
+		line := ev.addr >> lineShift
 		if e, ok := m.sq.match(line, start); ok {
 			// An older store to the same line is in flight: forward its
 			// data (the write never reaches the cache before the load).
@@ -532,13 +625,13 @@ func (m *ooOModel) observe(ev *vm.Event) {
 			// store and replays; once trained, the site waits for the
 			// store data and pays only the forwarding latency.
 			data := max(start, e.dataReady) + uint64(m.cfg.L1Lat)
-			if !m.depTrained[ev.Site] {
-				m.depTrained[ev.Site] = true
+			if !m.depTrained[ev.site] {
+				m.depTrained[ev.site] = true
 				data += uint64(m.cfg.MispredictPenalty)
 			}
 			lat = data - start
 		} else {
-			lat = uint64(m.hier.AccessLatency(ev.Addr))
+			lat = uint64(m.hier.AccessLatency(ev.addr))
 		}
 	case kindStore:
 		// Stores occupy a queue entry until the written line completes
@@ -558,9 +651,9 @@ func (m *ooOModel) observe(ev *vm.Event) {
 			m.sq.drain(start)
 		}
 		m.sq.push(storeEntry{
-			line:      ev.Addr >> lineShift,
+			line:      ev.addr >> lineShift,
 			dataReady: start,
-			done:      start + uint64(m.hier.StoreLatency(ev.Addr)),
+			done:      start + uint64(m.hier.StoreLatency(ev.addr)),
 		})
 		lat = 1
 	default:
@@ -568,18 +661,12 @@ func (m *ooOModel) observe(ev *vm.Event) {
 	}
 	done := start + lat
 
-	if si.kind == kindBranch {
-		m.stats.branches++
-		predicted := m.pred.Predict(si.pc)
-		m.pred.Update(si.pc, ev.Taken)
-		if predicted != ev.Taken {
-			m.stats.mispredicts++
-			// Front end restarts after the branch resolves.
-			refill := done + uint64(m.cfg.MispredictPenalty)
-			if refill > m.cycle {
-				m.cycle = refill
-				m.fetchedThis = 0
-			}
+	if mispredicted {
+		// Front end restarts after the branch resolves.
+		refill := done + uint64(m.cfg.MispredictPenalty)
+		if refill > m.cycle {
+			m.cycle = refill
+			m.fetchedThis = 0
 		}
 	}
 
@@ -604,34 +691,30 @@ func (m *ooOModel) observe(ev *vm.Event) {
 }
 
 func (m *ooOModel) finish() Result {
-	res := Result{
-		Cycles:      max(m.cycle, m.lastCompletion),
-		L1:          m.hier.L1.Stats,
-		L2:          m.hier.L2.Stats,
-		L1Store:     m.hier.L1.StoreStats,
-		L2Store:     m.hier.L2.StoreStats,
-		Branches:    m.stats.branches,
-		Mispredicts: m.stats.mispredicts,
+	return hierResult(m.hier, max(m.cycle, m.lastCompletion))
+}
+
+// hierResult is a model's Result before the batch fills in the run and
+// branch statistics: its cycle count and cache statistics.
+func hierResult(h *cache.Hierarchy, cycles uint64) Result {
+	return Result{
+		Cycles:  cycles,
+		L1:      h.L1.Stats,
+		L2:      h.L2.Stats,
+		L1Store: h.L1.StoreStats,
+		L2Store: h.L2.StoreStats,
 	}
-	if m.stats.branches > 0 {
-		res.BranchAcc = 1 - float64(m.stats.mispredicts)/float64(m.stats.branches)
-	} else {
-		res.BranchAcc = 1
-	}
-	return res
 }
 
 // epicModel issues statically scheduled bundles in order.
 type epicModel struct {
 	cfg   Config
 	hier  *cache.Hierarchy
-	pred  bpred.Predictor
 	sites []siteInfo
-	stats struct{ branches, mispredicts uint64 }
 
 	cycle          uint64
-	regs           *regFile
-	sq             *storeQueue
+	regs           regFile
+	sq             storeQueue
 	lastCompletion uint64
 
 	// Current bundle identity: instructions whose site shares a bkey
@@ -643,7 +726,6 @@ func newEPICModel(sites []siteInfo, maxRegs int, cfg Config) *epicModel {
 	return &epicModel{
 		cfg:    cfg,
 		hier:   newHierarchy(cfg),
-		pred:   newPredictor(cfg),
 		sites:  sites,
 		regs:   newRegFile(maxRegs),
 		sq:     newStoreQueue(cfg.StoreQueue),
@@ -651,8 +733,16 @@ func newEPICModel(sites []siteInfo, maxRegs int, cfg Config) *epicModel {
 	}
 }
 
-func (m *epicModel) observe(ev *vm.Event) {
-	si := &m.sites[ev.Site]
+func (m *epicModel) observeBlock(blk *block, miss *[blockSize]bool) {
+	for i := range blk.ev[:blk.n] {
+		m.observe(&blk.ev[i], miss[i])
+	}
+}
+
+// observe times one event; mispredicted is set when it is a branch its
+// predictor got wrong.
+func (m *epicModel) observe(ev *event, mispredicted bool) {
+	si := &m.sites[ev.site]
 	if si.bkey != m.curKey {
 		m.cycle++ // one bundle per cycle baseline
 		m.curKey = si.bkey
@@ -673,12 +763,12 @@ func (m *epicModel) observe(ev *vm.Event) {
 		// network — the machine stalls until the store has executed and
 		// written the cache (one L1 latency past its data being ready),
 		// then the load replays and pays its own cache access.
-		if e, ok := m.sq.match(ev.Addr>>lineShift, m.cycle); ok {
+		if e, ok := m.sq.match(ev.addr>>lineShift, m.cycle); ok {
 			if t := e.dataReady + uint64(m.cfg.L1Lat); t > m.cycle {
 				m.cycle = t
 			}
 		}
-		lat = uint64(m.hier.AccessLatency(ev.Addr))
+		lat = uint64(m.hier.AccessLatency(ev.addr))
 	case kindStore:
 		m.sq.drain(m.cycle)
 		if m.sq.full() {
@@ -688,9 +778,9 @@ func (m *epicModel) observe(ev *vm.Event) {
 			m.sq.drain(m.cycle)
 		}
 		m.sq.push(storeEntry{
-			line:      ev.Addr >> lineShift,
+			line:      ev.addr >> lineShift,
 			dataReady: m.cycle,
-			done:      m.cycle + uint64(m.hier.StoreLatency(ev.Addr)),
+			done:      m.cycle + uint64(m.hier.StoreLatency(ev.addr)),
 		})
 		lat = 1
 	default:
@@ -698,14 +788,8 @@ func (m *epicModel) observe(ev *vm.Event) {
 	}
 	done := m.cycle + lat
 
-	if si.kind == kindBranch {
-		m.stats.branches++
-		predicted := m.pred.Predict(si.pc)
-		m.pred.Update(si.pc, ev.Taken)
-		if predicted != ev.Taken {
-			m.stats.mispredicts++
-			m.cycle = done + uint64(m.cfg.MispredictPenalty)
-		}
+	if mispredicted {
+		m.cycle = done + uint64(m.cfg.MispredictPenalty)
 	}
 
 	switch si.kind {
@@ -722,19 +806,5 @@ func (m *epicModel) observe(ev *vm.Event) {
 }
 
 func (m *epicModel) finish() Result {
-	res := Result{
-		Cycles:      max(m.cycle, m.lastCompletion),
-		L1:          m.hier.L1.Stats,
-		L2:          m.hier.L2.Stats,
-		L1Store:     m.hier.L1.StoreStats,
-		L2Store:     m.hier.L2.StoreStats,
-		Branches:    m.stats.branches,
-		Mispredicts: m.stats.mispredicts,
-	}
-	if m.stats.branches > 0 {
-		res.BranchAcc = 1 - float64(m.stats.mispredicts)/float64(m.stats.branches)
-	} else {
-		res.BranchAcc = 1
-	}
-	return res
+	return hierResult(m.hier, max(m.cycle, m.lastCompletion))
 }

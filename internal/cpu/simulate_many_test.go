@@ -2,12 +2,12 @@ package cpu_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/compiler"
 	"repro/internal/cpu"
-	"repro/internal/explore"
 	"repro/internal/hlc"
 	"repro/internal/isa"
 	"repro/internal/vm"
@@ -39,17 +39,7 @@ func TestSimulateManyMatchesSimulate(t *testing.T) {
 	})
 
 	t.Run("CalibrationPoints", func(t *testing.T) {
-		sw, err := explore.Calibration().Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgs := make([]cpu.Config, len(sw.Points))
-		for i, pt := range sw.Points {
-			cfgs[i] = pt.Config()
-		}
-		if len(cfgs) != 48 {
-			t.Fatalf("calibration preset has %d points, want 48", len(cfgs))
-		}
+		cfgs := calibrationConfigs(t)
 		prog := compileWorkload(t, w, cfgs[0].ISA, compiler.O2)
 		assertBatchMatches(t, prog, w.Setup, cfgs, 0)
 	})
@@ -60,6 +50,47 @@ func TestSimulateManyMatchesSimulate(t *testing.T) {
 		got := assertBatchMatches(t, prog, w.Setup, cfgs, 50_000)
 		if n := got[0].Instrs; n < 50_000 || n > 50_001 {
 			t.Errorf("truncated batch executed %d instrs, want ~50000", n)
+		}
+	})
+
+	t.Run("BlockBoundaries", func(t *testing.T) {
+		// The golden budgets sit on either side of one block and well past
+		// many, so a lost or doubled partial block changes a digest.
+		if cpu.BlockSize != 256 {
+			t.Fatalf("block size %d: the budgets below no longer straddle a block", cpu.BlockSize)
+		}
+		prog := compileWorkload(t, w, isa.AMD64, compiler.O2)
+		for _, budget := range []uint64{1, 255, 256, 257, 50_001} {
+			got := assertBatchMatches(t, prog, w.Setup, boundaryConfigs, budget)
+			checkDigest(t, summaries(got), goldenBoundaries[budget])
+		}
+	})
+
+	t.Run("ShortProgram", func(t *testing.T) {
+		prog := compileSource(t, shortSrc, isa.AMD64, compiler.O2)
+		got := assertBatchMatches(t, prog, nil, boundaryConfigs, 0)
+		if n := got[0].Instrs; n == 0 || n >= cpu.BlockSize {
+			t.Fatalf("short program executed %d instrs, want fewer than one block", n)
+		}
+		checkDigest(t, summaries(got), goldenShortProgram)
+	})
+
+	t.Run("MixedPredictors", func(t *testing.T) {
+		prog := compileWorkload(t, w, isa.AMD64, compiler.O2)
+		var cfgs []cpu.Config
+		for i, name := range []string{
+			cpu.PredictorHybrid, cpu.PredictorBimodal, cpu.PredictorGShare,
+			cpu.PredictorHybrid, cpu.PredictorGShare, cpu.PredictorBimodal, "",
+		} {
+			cfg := cpu.Simulated2Wide(8)
+			cfg.Name = fmt.Sprintf("%d-%s", i, name)
+			cfg.NewPredictor = cpu.PredictorByName(name)
+			cfg.ROB = 16 << (i % 3) // vary the window so the models diverge
+			cfgs = append(cfgs, cfg)
+		}
+		got := assertBatchMatches(t, prog, w.Setup, cfgs, 0)
+		if got[0].Mispredicts == got[1].Mispredicts && got[1].Mispredicts == got[2].Mispredicts {
+			t.Errorf("hybrid, bimodal, and gshare mispredict alike (%d): the batch does not exercise distinct predictors", got[0].Mispredicts)
 		}
 	})
 
@@ -119,7 +150,7 @@ func assertBatchMatches(t *testing.T, prog *isa.Program, setup func(*vm.VM) erro
 	return batch
 }
 
-func compileWorkload(t *testing.T, w *workloads.Workload, target *isa.Desc, level compiler.OptLevel) *isa.Program {
+func compileWorkload(t testing.TB, w *workloads.Workload, target *isa.Desc, level compiler.OptLevel) *isa.Program {
 	t.Helper()
 	cp, err := hlc.Check(mustParse(t, w))
 	if err != nil {
