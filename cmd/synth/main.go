@@ -160,12 +160,12 @@ func printStats(w io.Writer, p *pipeline.Pipeline) {
 	if total > 0 {
 		rate = float64(cs.Hits+cs.DiskHits) / float64(total)
 	}
-	fmt.Fprintf(w, "artifact cache: %d hits, %d disk hits, %d misses (%.1f%% hit rate), %d disk errors, %d workers; computed parse=%d check=%d compile=%d profile=%d synthesize=%d validate=%d simulate=%d generate=%d\n",
-		cs.Hits, cs.DiskHits, cs.Misses, rate*100, cs.DiskErrors, p.Workers(),
-		cs.ComputedFor(pipeline.StageParse), cs.ComputedFor(pipeline.StageCheck),
-		cs.ComputedFor(pipeline.StageCompile), cs.ComputedFor(pipeline.StageProfile),
-		cs.ComputedFor(pipeline.StageSynthesize), cs.ComputedFor(pipeline.StageValidate),
-		cs.ComputedFor(pipeline.StageSimulate), cs.ComputedFor(pipeline.StageGenerate))
+	fmt.Fprintf(w, "artifact cache: %d hits, %d disk hits, %d misses (%.1f%% hit rate), %d disk errors, %d workers; computed",
+		cs.Hits, cs.DiskHits, cs.Misses, rate*100, cs.DiskErrors, p.Workers())
+	for st := pipeline.Stage(0); int(st) < pipeline.NumStages; st++ {
+		fmt.Fprintf(w, " %s=%d", st, cs.ComputedFor(st))
+	}
+	fmt.Fprintln(w)
 }
 
 // writeIndentedJSON renders v as indented JSON, the CLI's JSON style.

@@ -6,8 +6,9 @@
 //
 // All measurement plumbing routes through internal/pipeline: a Runner
 // submits declarative jobs (workload × ISA × level points) to a shared
-// pipeline whose artifact cache computes each compile, profile, and clone
-// once across every experiment, and whose worker pool fans the jobs out.
+// pipeline whose artifact cache computes each compile, profile, clone,
+// characterization (Figs. 4–9) and simulation (Figs. 10/11) once across
+// every experiment, and whose worker pool fans the jobs out.
 // The package-level ExperimentX functions run on a process-wide default
 // Runner seeded with CloneSeed.
 package experiments
@@ -17,9 +18,10 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/compiler"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
-	"repro/internal/vm"
+	"repro/internal/profile"
 	"repro/internal/workloads"
 )
 
@@ -103,15 +105,27 @@ func DefaultRunner() *Runner {
 	return defaultRunner
 }
 
-// runProgram executes a compiled program with an optional setup and hook.
-func runProgram(prog *isa.Program, setup func(*vm.VM) error, hook vm.Hook) (vm.Result, error) {
-	m := vm.New(prog)
-	if setup != nil {
-		if err := setup(m); err != nil {
-			return vm.Result{}, err
+// sides is one workload's Characterize artifacts at one level: the
+// original's and the clone's.
+type sides struct{ orig, syn profile.Characterization }
+
+// characterize runs the Characterize stage for the original and the clone
+// of every workload at every level on amd64, the measurement behind Figs.
+// 4–9, and returns the results indexed [workload][level].
+func (r *Runner) characterize(ctx context.Context, suite []*workloads.Workload, levels ...compiler.OptLevel) ([][]sides, error) {
+	return pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) ([]sides, error) {
+		out := make([]sides, len(levels))
+		for i, level := range levels {
+			var err error
+			if out[i].orig, err = r.P.Characterize(ctx, w, isa.AMD64, level, false); err != nil {
+				return nil, err
+			}
+			if out[i].syn, err = r.P.Characterize(ctx, w, isa.AMD64, level, true); err != nil {
+				return nil, err
+			}
 		}
-	}
-	return m.Run(vm.Config{Hook: hook, MaxInstrs: 200_000_000})
+		return out, nil
+	})
 }
 
 // background is the context for the package-level wrappers.

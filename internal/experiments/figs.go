@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/compiler"
-	"repro/internal/isa"
-	"repro/internal/pipeline"
+	"repro/internal/profile"
 	"repro/internal/stats"
-	"repro/internal/vm"
 	"repro/internal/workloads"
 )
 
@@ -38,35 +35,20 @@ func Fig4(suite []*workloads.Workload) (*Fig4Result, error) {
 
 // Fig4 measures original-vs-synthetic dynamic instruction counts.
 func (r *Runner) Fig4(ctx context.Context, suite []*workloads.Workload) (*Fig4Result, error) {
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (Fig4Row, error) {
-		cl, err := r.P.Synthesize(ctx, w)
-		if err != nil {
-			return Fig4Row{}, err
-		}
-		syn, err := r.P.CompileClone(ctx, w, isa.AMD64, compiler.O0)
-		if err != nil {
-			return Fig4Row{}, err
-		}
-		res, err := runProgram(syn, nil, nil)
-		if err != nil {
-			return Fig4Row{}, fmt.Errorf("%s clone: %w", w.Name, err)
-		}
-		row := Fig4Row{
-			Workload: w.Name,
-			OrigDyn:  cl.Profile.TotalDyn,
-			SynDyn:   res.DynInstrs,
-		}
-		if res.DynInstrs > 0 {
-			row.Reduction = float64(cl.Profile.TotalDyn) / float64(res.DynInstrs)
-		}
-		return row, nil
-	})
+	cs, err := r.characterize(ctx, suite, compiler.O0)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig4Result{Rows: rows}
+	res := &Fig4Result{}
 	var ratios []float64
-	for _, row := range rows {
+	for i, w := range suite {
+		cl, err := r.P.Synthesize(ctx, w)
+		if err != nil {
+			return nil, err
+		}
+		row := Fig4Row{Workload: w.Name, OrigDyn: cl.Profile.TotalDyn, SynDyn: cs[i][0].syn.Instrs}
+		row.Reduction = float64(row.OrigDyn) / float64(row.SynDyn)
+		res.Rows = append(res.Rows, row)
 		ratios = append(ratios, row.Reduction)
 	}
 	res.AvgReduction = stats.Mean(ratios)
@@ -98,47 +80,19 @@ func Fig5(suite []*workloads.Workload) (*Fig5Result, error) {
 	return DefaultRunner().Fig5(background(), suite)
 }
 
-// fig5Row is one workload's per-level dyn counts, normalized to its O0.
-type fig5Row struct {
-	orig, syn []float64
-}
-
 // Fig5 measures how the dynamic instruction count responds to the
 // optimization level for originals and clones.
 func (r *Runner) Fig5(ctx context.Context, suite []*workloads.Workload) (*Fig5Result, error) {
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (fig5Row, error) {
-		var row fig5Row
-		var o0Orig, o0Syn float64
-		for li, level := range compiler.Levels {
-			pair, err := r.P.PairAt(ctx, w, isa.AMD64, level)
-			if err != nil {
-				return row, err
-			}
-			ro, err := runProgram(pair.Orig, w.Setup, nil)
-			if err != nil {
-				return row, fmt.Errorf("%s %v: %w", w.Name, level, err)
-			}
-			rs, err := runProgram(pair.Syn, nil, nil)
-			if err != nil {
-				return row, fmt.Errorf("%s clone %v: %w", w.Name, level, err)
-			}
-			if li == 0 {
-				o0Orig, o0Syn = float64(ro.DynInstrs), float64(rs.DynInstrs)
-			}
-			row.orig = append(row.orig, float64(ro.DynInstrs)/o0Orig)
-			row.syn = append(row.syn, float64(rs.DynInstrs)/o0Syn)
-		}
-		return row, nil
-	})
+	cs, err := r.characterize(ctx, suite, compiler.Levels...)
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig5Result{}
 	for li, level := range compiler.Levels {
 		var po, ps []float64
-		for _, row := range rows {
-			po = append(po, row.orig[li])
-			ps = append(ps, row.syn[li])
+		for _, row := range cs {
+			po = append(po, float64(row[li].orig.Instrs)/float64(row[0].orig.Instrs))
+			ps = append(ps, float64(row[li].syn.Instrs)/float64(row[0].syn.Instrs))
 		}
 		res.Levels = append(res.Levels, level.String())
 		res.Orig = append(res.Orig, stats.Mean(po))
@@ -173,25 +127,6 @@ type Fig6Result struct {
 	Average MixRow
 }
 
-func measureMix(prog *isa.Program, setup func(*vm.VM) error) ([4]float64, error) {
-	var mix [isa.NumClasses]uint64
-	var total uint64
-	_, err := runProgram(prog, setup, func(ev *vm.Event) {
-		total++
-		mix[ev.Instr.Class()]++
-	})
-	var out [4]float64
-	if err != nil {
-		return out, err
-	}
-	t := float64(total)
-	out[0] = float64(mix[isa.ClassLoad]) / t
-	out[1] = float64(mix[isa.ClassStore]) / t
-	out[2] = float64(mix[isa.ClassBranch]) / t
-	out[3] = 1 - out[0] - out[1] - out[2]
-	return out, nil
-}
-
 // Fig6 measures the instruction mix per benchmark family at one level
 // (the paper shows O0 in Fig. 6(a) and O2 in Fig. 6(b)).
 func Fig6(suite []*workloads.Workload, level compiler.OptLevel) (*Fig6Result, error) {
@@ -200,61 +135,41 @@ func Fig6(suite []*workloads.Workload, level compiler.OptLevel) (*Fig6Result, er
 
 // Fig6 measures the instruction mix per benchmark family at one level.
 func (r *Runner) Fig6(ctx context.Context, suite []*workloads.Workload, level compiler.OptLevel) (*Fig6Result, error) {
-	type mixPair struct {
-		orig, syn [4]float64
-	}
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (mixPair, error) {
-		pair, err := r.P.PairAt(ctx, w, isa.AMD64, level)
-		if err != nil {
-			return mixPair{}, err
-		}
-		om, err := measureMix(pair.Orig, w.Setup)
-		if err != nil {
-			return mixPair{}, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		sm, err := measureMix(pair.Syn, nil)
-		if err != nil {
-			return mixPair{}, fmt.Errorf("%s clone: %w", w.Name, err)
-		}
-		return mixPair{orig: om, syn: sm}, nil
-	})
+	cs, err := r.characterize(ctx, suite, level)
 	if err != nil {
 		return nil, err
 	}
-	res := &Fig6Result{Level: level.String()}
-	perBench := map[string][]*MixRow{}
+	res := &Fig6Result{Level: level.String(), Average: MixRow{Name: "average"}}
+	perBench := map[string][]sides{}
 	var order []string
 	for i, w := range suite {
 		if _, ok := perBench[w.Bench]; !ok {
 			order = append(order, w.Bench)
 		}
-		perBench[w.Bench] = append(perBench[w.Bench],
-			&MixRow{Name: w.Name, Orig: rows[i].orig, Syn: rows[i].syn})
+		perBench[w.Bench] = append(perBench[w.Bench], cs[i][0])
 	}
-	var avg MixRow
-	avg.Name = "average"
-	n := 0.0
+	avg := &res.Average
 	for _, bench := range order {
-		var row MixRow
-		row.Name = bench
-		for _, m := range perBench[bench] {
-			for i := 0; i < 4; i++ {
-				row.Orig[i] += m.Orig[i] / float64(len(perBench[bench]))
-				row.Syn[i] += m.Syn[i] / float64(len(perBench[bench]))
+		row := MixRow{Name: bench}
+		n := float64(len(perBench[bench]))
+		for _, s := range perBench[bench] {
+			orig := profile.MixFractions(&s.orig.Mix, s.orig.Instrs)
+			syn := profile.MixFractions(&s.syn.Mix, s.syn.Instrs)
+			for i := range row.Orig {
+				row.Orig[i] += orig[i] / n
+				row.Syn[i] += syn[i] / n
 			}
 		}
-		for i := 0; i < 4; i++ {
+		for i := range row.Orig {
 			avg.Orig[i] += row.Orig[i]
 			avg.Syn[i] += row.Syn[i]
 		}
-		n++
 		res.Rows = append(res.Rows, row)
 	}
-	for i := 0; i < 4; i++ {
-		avg.Orig[i] /= n
-		avg.Syn[i] /= n
+	for i := range avg.Orig {
+		avg.Orig[i] /= float64(len(order))
+		avg.Syn[i] /= float64(len(order))
 	}
-	res.Average = avg
 	return res, nil
 }
 
@@ -287,21 +202,13 @@ type FigCacheResult struct {
 	Rows  []CacheRow
 }
 
-func measureCacheSweep(prog *isa.Program, setup func(*vm.VM) error) ([]float64, error) {
-	ms := cache.NewMultiSim(cache.SweepConfigs())
-	_, err := runProgram(prog, setup, func(ev *vm.Event) {
-		if ev.IsMem {
-			ms.Access(ev.Addr)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
+// hitRates returns a characterization's hit rate at each sweep size.
+func hitRates(c profile.Characterization) []float64 {
 	var out []float64
-	for _, c := range ms.Caches {
-		out = append(out, c.Stats.HitRate())
+	for _, s := range c.Cache {
+		out = append(out, s.HitRate())
 	}
-	return out, nil
+	return out
 }
 
 // FigCache measures data-cache hit rates for 1KB..32KB caches, original vs
@@ -312,27 +219,16 @@ func FigCache(suite []*workloads.Workload, level compiler.OptLevel) (*FigCacheRe
 
 // FigCache measures data-cache hit rates for 1KB..32KB caches.
 func (r *Runner) FigCache(ctx context.Context, suite []*workloads.Workload, level compiler.OptLevel) (*FigCacheResult, error) {
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (CacheRow, error) {
-		pair, err := r.P.PairAt(ctx, w, isa.AMD64, level)
-		if err != nil {
-			return CacheRow{}, err
-		}
-		oh, err := measureCacheSweep(pair.Orig, w.Setup)
-		if err != nil {
-			return CacheRow{}, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		sh, err := measureCacheSweep(pair.Syn, nil)
-		if err != nil {
-			return CacheRow{}, fmt.Errorf("%s clone: %w", w.Name, err)
-		}
-		return CacheRow{Name: w.Name, Orig: oh, Syn: sh}, nil
-	})
+	cs, err := r.characterize(ctx, suite, level)
 	if err != nil {
 		return nil, err
 	}
-	res := &FigCacheResult{Level: level.String(), Rows: rows}
+	res := &FigCacheResult{Level: level.String()}
 	for _, cfg := range cache.SweepConfigs() {
 		res.Sizes = append(res.Sizes, cfg.Name)
+	}
+	for i, w := range suite {
+		res.Rows = append(res.Rows, CacheRow{Name: w.Name, Orig: hitRates(cs[i][0].orig), Syn: hitRates(cs[i][0].syn)})
 	}
 	return res, nil
 }
@@ -372,20 +268,6 @@ type Fig9Result struct {
 	Rows []BranchRow
 }
 
-func measureBranchAcc(prog *isa.Program, setup func(*vm.VM) error) (float64, error) {
-	meter := &bpred.Meter{P: bpred.DefaultHybrid()}
-	_, err := runProgram(prog, setup, func(ev *vm.Event) {
-		if ev.Instr.Op == isa.BR {
-			pc := uint64(ev.Func)<<24 ^ uint64(ev.Block)<<10 ^ uint64(ev.Index)
-			meter.Observe(pc, ev.Taken)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	return meter.S.Accuracy(), nil
-}
-
 // Fig9 measures hybrid-predictor accuracy for originals and clones at O0
 // and O2.
 func Fig9(suite []*workloads.Workload) (*Fig9Result, error) {
@@ -394,33 +276,18 @@ func Fig9(suite []*workloads.Workload) (*Fig9Result, error) {
 
 // Fig9 measures hybrid-predictor accuracy for originals and clones.
 func (r *Runner) Fig9(ctx context.Context, suite []*workloads.Workload) (*Fig9Result, error) {
-	rows, err := pipeline.Map(ctx, r.P, suite, func(ctx context.Context, w *workloads.Workload) (BranchRow, error) {
-		row := BranchRow{Name: w.Name}
-		for _, level := range []compiler.OptLevel{compiler.O0, compiler.O2} {
-			pair, err := r.P.PairAt(ctx, w, isa.AMD64, level)
-			if err != nil {
-				return row, err
-			}
-			oa, err := measureBranchAcc(pair.Orig, w.Setup)
-			if err != nil {
-				return row, fmt.Errorf("%s: %w", w.Name, err)
-			}
-			sa, err := measureBranchAcc(pair.Syn, nil)
-			if err != nil {
-				return row, fmt.Errorf("%s clone: %w", w.Name, err)
-			}
-			if level == compiler.O0 {
-				row.OrigO0, row.SynO0 = oa, sa
-			} else {
-				row.OrigO2, row.SynO2 = oa, sa
-			}
-		}
-		return row, nil
-	})
+	cs, err := r.characterize(ctx, suite, compiler.O0, compiler.O2)
 	if err != nil {
 		return nil, err
 	}
-	return &Fig9Result{Rows: rows}, nil
+	res := &Fig9Result{}
+	for i, w := range suite {
+		o0, o2 := cs[i][0], cs[i][1]
+		res.Rows = append(res.Rows, BranchRow{Name: w.Name,
+			OrigO0: o0.orig.Branch.Accuracy(), OrigO2: o2.orig.Branch.Accuracy(),
+			SynO0: o0.syn.Branch.Accuracy(), SynO2: o2.syn.Branch.Accuracy()})
+	}
+	return res, nil
 }
 
 // Print renders the figure.

@@ -96,6 +96,8 @@ func (k Key) StoreKind() string {
 		return store.KindSim
 	case StageGenerate:
 		return store.KindGenerate
+	case StageCharacterize:
+		return store.KindCharacterize
 	}
 	return ""
 }

@@ -3,10 +3,7 @@ package pipeline
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/hlc"
-	"repro/internal/isa"
-	"repro/internal/profile"
 	"repro/internal/store"
 )
 
@@ -16,27 +13,21 @@ import (
 // that do not serialize, and both stages are cheap enough that a disk round
 // trip would cost more than recomputation.
 
-// codecProgram persists compiled programs (original and clone compiles).
-var codecProgram = &codec{
-	kind: store.KindProgram,
-	encode: func(v any) ([]byte, error) {
-		return store.EncodeProgram(v.(*isa.Program))
-	},
-	decode: func(data []byte) (any, error) {
-		return store.DecodeProgram(data)
-	},
+// typedCodec adapts one artifact type's store encode/decode pair to the
+// cache's untyped codec.
+func typedCodec[T any](kind string, encode func(T) ([]byte, error), decode func([]byte) (T, error)) *codec {
+	return &codec{
+		kind:   kind,
+		encode: func(v any) ([]byte, error) { return encode(v.(T)) },
+		decode: func(data []byte) (any, error) { return decode(data) },
+	}
 }
 
+// codecProgram persists compiled programs (original and clone compiles).
+var codecProgram = typedCodec(store.KindProgram, store.EncodeProgram, store.DecodeProgram)
+
 // codecProfile persists statistical profiles.
-var codecProfile = &codec{
-	kind: store.KindProfile,
-	encode: func(v any) ([]byte, error) {
-		return store.EncodeProfile(v.(*profile.Profile))
-	},
-	decode: func(data []byte) (any, error) {
-		return store.DecodeProfile(data)
-	},
-}
+var codecProfile = typedCodec(store.KindProfile, store.EncodeProfile, store.DecodeProfile)
 
 // codecClone persists synthesized clones. The HLC source is the stored
 // artifact of record; decoding re-parses and re-checks it to rebuild the
@@ -77,15 +68,11 @@ var codecClone = &codec{
 // codecSim persists timing-simulation summaries, keyed by workload,
 // compilation point, and machine-configuration fingerprint, so design-
 // space sweeps resuming over a shared store recompute nothing.
-var codecSim = &codec{
-	kind: store.KindSim,
-	encode: func(v any) ([]byte, error) {
-		return store.EncodeSim(v.(cpu.Summary))
-	},
-	decode: func(data []byte) (any, error) {
-		return store.DecodeSim(data)
-	},
-}
+var codecSim = typedCodec(store.KindSim, store.EncodeSim, store.DecodeSim)
+
+// codecCharacterize persists program characterizations (Figs. 4–9's
+// raw counts), keyed by workload, side, and compilation point.
+var codecCharacterize = typedCodec(store.KindCharacterize, store.EncodeCharacterize, store.DecodeCharacterize)
 
 // codecGenerate persists workload-generation reports. The report is
 // produced and consumed as JSON (generate.Report marshals itself before

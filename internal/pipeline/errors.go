@@ -13,10 +13,11 @@ import (
 // executable benchmark.
 type Stage int
 
-// Pipeline stages, in execution order. Later additions (Simulate, then
-// Generate) are appended after Validate regardless of where they sit in
-// the dataflow: the order is part of the CacheStats.Computed indexing
-// contract.
+// Pipeline stages, in execution order. Later additions (Simulate,
+// Generate, then Characterize) are appended after Validate regardless of
+// where they sit in the dataflow: the order is part of the
+// CacheStats.Computed indexing contract, and Key.Canonical prints the
+// stage number, so appending keeps every stored digest valid.
 const (
 	StageParse Stage = iota
 	StageCheck
@@ -26,10 +27,12 @@ const (
 	StageValidate
 	StageSimulate
 	StageGenerate
+	StageCharacterize
 )
 
 var stageNames = [...]string{
 	"parse", "check", "compile", "profile", "synthesize", "validate", "simulate", "generate",
+	"characterize",
 }
 
 // NumStages is the number of pipeline stages; CacheStats.Computed is

@@ -370,8 +370,25 @@ func (p *Pipeline) CompileClone(ctx context.Context, w *workloads.Workload, targ
 	return v.(*isa.Program), nil
 }
 
+// program compiles the workload (clone=false) or its clone (clone=true)
+// at (target, level) and returns it with the setup a run of it needs:
+// the workload's inputs, or none for a self-contained clone.
+func (p *Pipeline) program(ctx context.Context, w *workloads.Workload, target *isa.Desc, level compiler.OptLevel, clone bool) (*isa.Program, func(*vm.VM) error, error) {
+	if clone {
+		prog, err := p.CompileClone(ctx, w, target, level)
+		return prog, nil, err
+	}
+	prog, err := p.Compile(ctx, w, target, level)
+	return prog, w.Setup, err
+}
+
 // validateBudget bounds the Validate stage's execution of the clone.
 const validateBudget = 4_000_000
+
+// characterizeBudget bounds the Characterize stage's run of a program.
+// Unlike validateBudget it is a ceiling, not a sample: a run that
+// exhausts it fails the stage rather than characterizing a prefix.
+const characterizeBudget = 200_000_000
 
 // Validate runs the Validate stage: the clone must compile at the
 // profiling point and execute on its own (clones are self-contained and

@@ -76,21 +76,9 @@ func (p *Pipeline) SimulateMany(ctx context.Context, w *workloads.Workload, targ
 		keys[i] = p.simKey(w, target, level, cfg, clone, maxInstrs)
 	}
 	vs, err := p.cache.doMany(ctx, keys, codecSim, func(ctx context.Context, idx []int) ([]any, error) {
-		var (
-			prog *isa.Program
-			err  error
-		)
-		if clone {
-			prog, err = p.CompileClone(ctx, w, target, level)
-		} else {
-			prog, err = p.Compile(ctx, w, target, level)
-		}
+		prog, setup, err := p.program(ctx, w, target, level, clone)
 		if err != nil {
 			return nil, err
-		}
-		setup := w.Setup
-		if clone {
-			setup = nil // clones are self-contained and need no inputs
 		}
 		batch := make([]cpu.Config, len(idx))
 		for j, i := range idx {

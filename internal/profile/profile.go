@@ -12,6 +12,7 @@ import (
 	"io"
 	"sort"
 
+	"repro/internal/bpred"
 	"repro/internal/cache"
 	"repro/internal/ir"
 	"repro/internal/isa"
@@ -59,18 +60,32 @@ type Profile struct {
 	OutputHash uint64 `json:"outputHash"`
 }
 
-// MixFractions returns the instruction-mix fractions of Fig. 6: loads,
-// stores, branches (conditional), and everything else.
-func (p *Profile) MixFractions() (loads, stores, branches, others float64) {
-	total := float64(p.TotalDyn)
+// MixFractions turns per-class instruction counts over total executed
+// instructions into Fig. 6's fractions: loads, stores, conditional
+// branches, and everything else (all zero when total is zero).
+func MixFractions(mix *[isa.NumClasses]uint64, total uint64) [4]float64 {
+	var f [4]float64
 	if total == 0 {
-		return 0, 0, 0, 0
+		return f
 	}
-	loads = float64(p.Mix[isa.ClassLoad]) / total
-	stores = float64(p.Mix[isa.ClassStore]) / total
-	branches = float64(p.Mix[isa.ClassBranch]) / total
-	others = 1 - loads - stores - branches
-	return loads, stores, branches, others
+	t := float64(total)
+	f[0] = float64(mix[isa.ClassLoad]) / t
+	f[1] = float64(mix[isa.ClassStore]) / t
+	f[2] = float64(mix[isa.ClassBranch]) / t
+	f[3] = 1 - f[0] - f[1] - f[2]
+	return f
+}
+
+// Characterization is the raw dynamic behavior of one complete program
+// run — the counts Figs. 4–9 compare between an original and its clone:
+// the executed instruction count and class mix, the data-cache stats of
+// every cache.SweepConfigs configuration (in that order), and the
+// default hybrid branch predictor's stats.
+type Characterization struct {
+	Instrs uint64                 `json:"instrs"`
+	Mix    [isa.NumClasses]uint64 `json:"mix"`
+	Cache  []cache.Stats          `json:"cache"`
+	Branch bpred.Stats            `json:"branch"`
 }
 
 // blockKey identifies a static basic block.

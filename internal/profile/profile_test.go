@@ -196,7 +196,8 @@ void main() {
 	if sum != p.TotalDyn {
 		t.Errorf("mix sums to %d, want %d", sum, p.TotalDyn)
 	}
-	loads, stores, branches, others := p.MixFractions()
+	f := MixFractions(&p.Mix, p.TotalDyn)
+	loads, stores, branches, others := f[0], f[1], f[2], f[3]
 	if loads <= 0 || stores <= 0 || branches <= 0 || others <= 0 {
 		t.Errorf("degenerate mix: %v %v %v %v", loads, stores, branches, others)
 	}

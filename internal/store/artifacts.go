@@ -133,6 +133,27 @@ func DecodeSim(data []byte) (cpu.Summary, error) {
 	return s, nil
 }
 
+// EncodeCharacterize serializes a program characterization — the
+// artifact the pipeline's Characterize stage persists.
+func EncodeCharacterize(c profile.Characterization) ([]byte, error) {
+	if c.Instrs == 0 {
+		return nil, fmt.Errorf("store: encode characterize: empty run (no instructions)")
+	}
+	return json.Marshal(c)
+}
+
+// DecodeCharacterize deserializes a program characterization.
+func DecodeCharacterize(data []byte) (profile.Characterization, error) {
+	var c profile.Characterization
+	if err := json.Unmarshal(data, &c); err != nil {
+		return profile.Characterization{}, fmt.Errorf("store: decode characterize: %w", err)
+	}
+	if c.Instrs == 0 {
+		return profile.Characterization{}, fmt.Errorf("store: decode characterize: empty run")
+	}
+	return c, nil
+}
+
 // markerPayload is the fixed payload of validation markers.
 var markerPayload = []byte(`{"ok":true}`)
 

@@ -48,6 +48,9 @@ const (
 	// KindGenerate is a workload-generation report (generate.Report JSON):
 	// the requested-vs-achieved outcome of one directed generation run.
 	KindGenerate = "generate"
+	// KindCharacterize is one program run's raw dynamic counts
+	// (profile.Characterization): mix, cache sweep, branch accuracy.
+	KindCharacterize = "characterize"
 )
 
 // Store is a content-addressed artifact store rooted at one directory.
