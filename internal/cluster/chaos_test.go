@@ -4,7 +4,7 @@ package cluster
 // during ack, lease expiry under a stalled worker, artifact corruption —
 // must all converge to a complete store byte-identical to a clean solo
 // run, with no lost and no double-executed jobs. Faults are injected with
-// store.Fault, the scripted Backend decorator.
+// storetest.Fault, the scripted Backend decorator.
 
 import (
 	"context"
@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 	"repro/internal/workloads"
 )
 
@@ -134,14 +135,14 @@ func summedStats(t *testing.T, q *Queue, spec Spec) pipeline.CacheStats {
 
 // chaosQueue builds a queue whose backend is a fault decorator over a
 // fresh filesystem store, returning the store directory for snapshotting.
-func chaosQueue(t *testing.T) (*Queue, *store.Fault, string) {
+func chaosQueue(t *testing.T) (*Queue, *storetest.Fault, string) {
 	t.Helper()
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := store.NewFault(st)
+	f := storetest.NewFault(st)
 	q, err := OpenQueue(f)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +207,7 @@ func TestChaosStoreFlakeDuringAck(t *testing.T) {
 	}
 	// Script the flake only after dispatch: the fault under test is an ack
 	// blip mid-drain, not a broken dispatch.
-	f.Script(store.FaultRule{Op: "writefile", Match: "cluster/done/", Count: 2, Err: errInjectedChaos})
+	f.Script(storetest.FaultRule{Op: "writefile", Match: "cluster/done/", Count: 2, Err: errInjectedChaos})
 	w := &Worker{Queue: q, Pipe: p, ID: "w1", Poll: 5 * time.Millisecond}
 	if _, err := w.Run(ctx); err != nil {
 		t.Fatalf("worker under ack flake: %v", err)
@@ -274,7 +275,7 @@ func TestChaosCorruptedArtifactRecomputed(t *testing.T) {
 	if _, err := w.Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	f.Script(store.FaultRule{Op: "get", Count: 1, Corrupt: true})
+	f.Script(storetest.FaultRule{Op: "get", Count: 1, Corrupt: true})
 
 	// A fresh pipeline over the same (now corrupting) backend: its first
 	// disk read comes back damaged, fails decode, and is recomputed.
@@ -323,9 +324,9 @@ func TestChaosSupervisorStoreFlake(t *testing.T) {
 	// write, claim listings, and a claim-time touch — after dispatch, so the
 	// supervisor (not the dispatcher) has to ride them out.
 	f.Script(
-		store.FaultRule{Op: "writefile", Match: "cluster/done/", Count: 1, Err: errInjectedChaos},
-		store.FaultRule{Op: "list", Match: "cluster/pending", Skip: 2, Count: 2, Err: errInjectedChaos},
-		store.FaultRule{Op: "touch", Match: "cluster/pending/", Count: 1, Err: errInjectedChaos},
+		storetest.FaultRule{Op: "writefile", Match: "cluster/done/", Count: 1, Err: errInjectedChaos},
+		storetest.FaultRule{Op: "list", Match: "cluster/pending", Skip: 2, Count: 2, Err: errInjectedChaos},
+		storetest.FaultRule{Op: "touch", Match: "cluster/pending/", Count: 1, Err: errInjectedChaos},
 	)
 	// Max 1: per-job stat deltas are snapshots of the pool's shared
 	// pipeline, so they only partition exactly (making the strict

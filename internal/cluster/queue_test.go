@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
 func testQueue(t *testing.T) *Queue {
@@ -39,7 +40,7 @@ func backdate(t *testing.T, l *Lease, age time.Duration) {
 	t.Helper()
 	old := time.Now().Add(-age)
 	be := l.q.be
-	if f, ok := be.(*store.Fault); ok {
+	if f, ok := be.(*storetest.Fault); ok {
 		be = f.Inner()
 	}
 	st := be.(*store.Store)

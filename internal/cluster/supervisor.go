@@ -42,7 +42,7 @@ type SupervisorOptions struct {
 	// Telemetry, when non-nil, receives the node's job-lifecycle metrics
 	// and pool gauges (synth_cluster_*), and is plumbed into every
 	// per-dispatch pipeline the pool builds so stage metrics land in the
-	// same registry.
+	// same registry (a scrape reports the sum over those pipelines).
 	Telemetry *telemetry.Registry
 
 	// exec, when non-nil, replaces real job execution (test hook; see
@@ -139,12 +139,8 @@ type Supervisor struct {
 	idleTicks int
 	running   bool
 
-	wg        sync.WaitGroup
-	busy      atomic.Int64
-	jobs      atomic.Int64
-	failed    atomic.Int64
-	panics    atomic.Int64
-	reclaimed atomic.Int64
+	wg   sync.WaitGroup
+	busy atomic.Int64
 }
 
 // supWorker is the supervisor's handle on one pool goroutine. Closing stop
@@ -266,7 +262,6 @@ func (s *Supervisor) spawnLocked(ctx context.Context) string {
 // whether the pool should grow or shrink.
 func (s *Supervisor) tick() {
 	if n, err := s.q.Reclaim(s.opts.TTL); err == nil && n > 0 {
-		s.reclaimed.Add(int64(n))
 		s.metrics.Reclaimed(n)
 		s.event("reclaim", "", "", fmt.Sprintf("re-pended %d expired lease(s)", n))
 	}
@@ -399,7 +394,6 @@ func (s *Supervisor) runOne(ctx context.Context, w *Worker, lease *Lease) {
 		s.event("job-timeout", w.ID, id, res.Err)
 	}
 	if panicked {
-		s.panics.Add(1)
 		s.metrics.Panic()
 		s.mu.Lock()
 		first := !s.panicked[id]
@@ -416,10 +410,8 @@ func (s *Supervisor) runOne(ctx context.Context, w *Worker, lease *Lease) {
 		s.event("job-failed", w.ID, id, err.Error())
 		return
 	}
-	s.jobs.Add(1)
 	typ := "job-done"
 	if res.Err != "" {
-		s.failed.Add(1)
 		typ = "job-failed"
 	}
 	s.event(typ, w.ID, id, fmt.Sprintf("%s in %dms: %s", lease.Job.Workload, res.Millis, res.Err))
@@ -469,7 +461,7 @@ func (s *Supervisor) pipelineFor(digest string) (*pipeline.Pipeline, error) {
 	return p, nil
 }
 
-// Metrics returns the supervisor's job-lifecycle metric handles, shared by
+// Metrics returns the supervisor's job-lifecycle counters, shared by
 // its pool workers; the status endpoint snapshots them.
 func (s *Supervisor) Metrics() *Metrics { return s.metrics }
 
@@ -485,9 +477,10 @@ func (s *Supervisor) Status() SupervisorStatus {
 	}
 	s.mu.Unlock()
 	st.Busy = int(s.busy.Load())
-	st.Jobs = int(s.jobs.Load())
-	st.Failed = int(s.failed.Load())
-	st.Panics = int(s.panics.Load())
-	st.Reclaimed = int(s.reclaimed.Load())
+	m := s.metrics.Snapshot()
+	st.Jobs = int(m.JobsOK + m.JobsFailed)
+	st.Failed = int(m.JobsFailed)
+	st.Panics = int(m.Panics)
+	st.Reclaimed = int(m.Reclaims)
 	return st
 }

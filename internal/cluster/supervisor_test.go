@@ -251,3 +251,56 @@ func TestSupervisorJobTimeout(t *testing.T) {
 	cancel()
 	<-runDone
 }
+
+// TestSupervisorStatusReadsMetrics pins that the status endpoint and the
+// lifecycle metrics read one set of counters, even with no registry
+// attached: a drain with a panic, a failed job, and a reclaimed lease
+// reports the same job, failure, panic, and reclaim counts through
+// Status and through Metrics().Snapshot().
+func TestSupervisorStatusReadsMetrics(t *testing.T) {
+	q := testQueue(t)
+	fakeJobs(t, q, 3)
+	// A worker that claimed a job and died: its lease expires and the
+	// supervisor's coordinator must reclaim it.
+	if lease, err := q.Claim("ghost"); err != nil || lease == nil {
+		t.Fatalf("ghost claim: %v, %v", lease, err)
+	}
+	var panicked atomic.Bool
+	sup, err := NewSupervisor(q, SupervisorOptions{
+		Node: "status", Min: 1, Max: 1, TTL: 200 * time.Millisecond,
+		Poll: 5 * time.Millisecond, Interval: 10 * time.Millisecond,
+		exec: func(ctx context.Context, j Job) error {
+			switch {
+			case strings.HasSuffix(j.Workload, "job0") && panicked.CompareAndSwap(false, true):
+				panic("scripted panic")
+			case strings.HasSuffix(j.Workload, "job1"):
+				return errors.New("scripted failure")
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		sup.Run(ctx)
+	}()
+	waitFor(t, 30*time.Second, "queue to converge", func() bool {
+		c, err := q.Counts()
+		return err == nil && c.Done == 3
+	})
+	cancel()
+	<-done
+
+	st, m := sup.Status(), sup.Metrics().Snapshot()
+	if st.Jobs != 3 || st.Failed != 1 || st.Panics != 1 || st.Reclaimed < 1 {
+		t.Fatalf("status = %+v, want 3 jobs, 1 failed, 1 panic, at least 1 reclaim", st)
+	}
+	if uint64(st.Jobs) != m.JobsOK+m.JobsFailed || uint64(st.Failed) != m.JobsFailed ||
+		uint64(st.Panics) != m.Panics || uint64(st.Reclaimed) != m.Reclaims {
+		t.Fatalf("status %+v disagrees with the metrics snapshot %+v", st, m)
+	}
+}

@@ -12,7 +12,7 @@ import (
 
 // guardedPackages are the packages whose exported API must be fully
 // documented: the orchestration layer, the synthesis core, the profiler,
-// the persistence layer, the cluster coordination layer, the VM, and the
+// the persistence layer and its test support, the cluster coordination layer, the VM, and the
 // timing model (cpu and its cache hierarchy), whose memory-dependence
 // semantics docs/memory-model.md documents.
 var guardedPackages = []string{
@@ -23,6 +23,7 @@ var guardedPackages = []string{
 	"../profile",
 	"../sfgl",
 	"../store",
+	"../store/storetest",
 	"../cluster",
 	"../explore",
 	"../generate",

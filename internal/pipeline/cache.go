@@ -173,6 +173,9 @@ type codec struct {
 // full Key struct — Digest is the printable content address, but using it
 // as the map key would turn a 64-bit hash collision into a silently wrong
 // artifact.
+//
+// The atomics are the only copy of the cache's counts: CacheStats reads
+// them, and tm exposes them to the telemetry registry at scrape time.
 type artifactCache struct {
 	mu         sync.Mutex
 	m          map[Key]*entry
@@ -182,14 +185,13 @@ type artifactCache struct {
 	diskHits   atomic.Uint64
 	diskErrors atomic.Uint64
 	computed   [NumStages]atomic.Uint64
-	// tm mirrors the atomics above into the telemetry registry (and traces
-	// computations); every increment site updates both, so /metrics always
-	// agrees with CacheStats.
-	tm *cacheTelemetry
+	tm         *cacheTelemetry // stage timings, wip adoptions, and spans
 }
 
-func newArtifactCache(disk store.Backend, tm *cacheTelemetry) *artifactCache {
-	return &artifactCache{m: make(map[Key]*entry), disk: disk, tm: tm}
+func newArtifactCache(disk store.Backend, reg *telemetry.Registry, tracer *telemetry.Tracer) *artifactCache {
+	c := &artifactCache{m: make(map[Key]*entry), disk: disk}
+	c.tm = newCacheTelemetry(reg, tracer, c)
+	return c
 }
 
 func (c *artifactCache) stats() CacheStats {
@@ -206,25 +208,18 @@ func (c *artifactCache) stats() CacheStats {
 }
 
 // fromDisk tries to satisfy k from the persistent tier. A damaged or
-// mismatched entry is a miss.
-func (c *artifactCache) fromDisk(k Key, cd *codec) (any, bool) {
-	if c.disk == nil || cd == nil {
-		return nil, false
-	}
+// mismatched entry is a miss; corrupt reports an entry that verified but
+// failed to decode, which the caller counts as a disk error.
+func (c *artifactCache) fromDisk(k Key, cd *codec) (v any, ok, corrupt bool) {
 	// Backend.Get verifies the envelope checksum and canonical key; any
 	// transport- or corruption-level damage reads as a miss here and the
 	// decode below catches payloads that are valid JSON but wrong shape.
 	payload, ok := c.disk.Get(k.Digest(), cd.kind, k.Canonical())
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
 	v, err := cd.decode(payload)
-	if err != nil {
-		c.diskErrors.Add(1)
-		c.tm.diskErrors.Inc()
-		return nil, false
-	}
-	return v, true
+	return v, err == nil, err != nil
 }
 
 // toDisk writes a freshly computed artifact through to the persistent
@@ -239,93 +234,212 @@ func (c *artifactCache) toDisk(k Key, cd *codec, v any) {
 	}
 	if err != nil {
 		c.diskErrors.Add(1)
-		c.tm.diskErrors.Inc()
 	}
 }
 
 // do returns the artifact for k, computing it with fn at most once across
-// all concurrent callers. Lookup order is memory, then disk (when cd and a
-// store are configured), then fn with a write-through to disk. Failed
-// computations are not cached, and waiters that coalesced onto a
-// computation whose owner got canceled retry under their own context
-// instead of inheriting the cancellation — the pipeline is shared, and one
-// run's cancel must not fail an unrelated run's jobs.
-//
-// fn receives the context to run under: when tracing is enabled this is
-// the computation's span context, so nested stage calls made inside fn
-// parent their spans under this artifact's span.
+// all concurrent callers: it is the one-key call of doMany.
 func (c *artifactCache) do(ctx context.Context, k Key, cd *codec, fn func(context.Context) (any, error)) (any, error) {
-	for {
-		c.mu.Lock()
-		if e, ok := c.m[k]; ok {
-			c.mu.Unlock()
-			c.hits.Add(1)
-			c.tm.hits.Inc()
-			select {
-			case <-e.ready:
-				if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-					continue // owner canceled, we were not: retry
-				}
-				return e.val, e.err
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		e := &entry{ready: make(chan struct{})}
-		c.m[k] = e
-		c.mu.Unlock()
-
-		if v, ok := c.fromDisk(k, cd); ok {
-			c.diskHits.Add(1)
-			c.tm.diskHits.Inc()
-			e.val = v
-			close(e.ready)
-			return v, nil
-		}
-
-		if c.disk != nil && cd != nil {
-			// Persisted stage over a shared store: gate the computation on a
-			// cross-process in-progress marker so concurrent processes never
-			// duplicate it. computeGated writes the artifact through itself.
-			e.val, e.err = c.computeGated(ctx, k, cd, false, fn)
-		} else {
-			e.val, e.err = c.compute(ctx, k, fn)
-		}
-		c.settle(k, e)
-		return e.val, e.err
-	}
-}
-
-// compute runs fn, counting it as an actual artifact computation, timing
-// it into the stage duration histogram, and wrapping it in a span named
-// after the stage so nested stage calls trace as children.
-func (c *artifactCache) compute(ctx context.Context, k Key, fn func(context.Context) (any, error)) (any, error) {
-	vs, err := c.computeKeys(ctx, []Key{k}, func(ctx context.Context) ([]any, error) {
+	vs, err := c.doMany(ctx, []Key{k}, cd, func(ctx context.Context, _ []int) ([]any, error) {
 		v, err := fn(ctx)
 		return []any{v}, err
 	})
-	return vs[0], err
+	if err != nil {
+		return nil, err
+	}
+	return vs[0], nil
 }
 
-// computeKeys runs fn once to compute the artifacts of every key in ks
-// (fn returns them in key order). Accounting stays per key: each key
-// counts as one miss and one computation, gets its own span covering the
-// shared computation, and observes an equal share of its wall time in the
-// stage histogram, so the histogram's sum stays the time actually spent.
-// fn runs under the first key's span context, so nested stage calls trace
-// as that span's children.
-func (c *artifactCache) computeKeys(ctx context.Context, ks []Key, fn func(context.Context) ([]any, error)) ([]any, error) {
-	c.misses.Add(uint64(len(ks)))
-	spans := make([]*telemetry.Span, len(ks))
+// slot is one key of a doMany call that is not resolved yet. e is its
+// memory entry once the call holds one: its own, or another caller's to
+// wait for. marker names the cross-process in-progress marker the call
+// holds for the key ("" = none), and waited records that the call waited
+// on another process's marker for it, so a disk hit on the next claim
+// counts as an adoption.
+type slot struct {
+	i      int
+	e      *entry
+	marker string
+	waited bool
+}
+
+// doMany returns the artifacts for keys, in key order, computing each at
+// most once across all concurrent callers — in this process, and in every
+// process sharing the store. Each key resolves from memory, then disk
+// (when cd and a store are configured), then computation with a
+// write-through to disk. Every key the call claims is computed by one call
+// of fn, which receives their indexes (into keys) and returns their
+// artifacts in that order.
+//
+// A key whose memory entry another caller owns, or whose in-progress
+// marker another process holds, is waited for only after the call's own
+// claims are computed and settled, so two overlapping batches never wait
+// on each other while holding claims. When that other computation fails
+// (the marker goes without an artifact), or its owner was canceled and
+// this caller was not, the key goes round again under a claim of this
+// call's own: the pipeline is shared, and one run's cancel must not fail
+// an unrelated run's jobs. Failed computations are not cached.
+//
+// fn receives the context to run under: when tracing is enabled this is
+// the first computed key's span context, so nested stage calls made
+// inside fn parent their spans under it.
+func (c *artifactCache) doMany(ctx context.Context, keys []Key, cd *codec, fn func(ctx context.Context, idx []int) ([]any, error)) ([]any, error) {
+	vals := make([]any, len(keys))
+	todo := make([]slot, len(keys))
+	for i := range todo {
+		todo[i].i = i
+	}
+	var shared []slot
+	for len(todo) > 0 {
+		var owned, foreign []slot
+		for _, s := range todo {
+			k := keys[s.i]
+			if s.e == nil {
+				c.mu.Lock()
+				if e, ok := c.m[k]; ok {
+					c.mu.Unlock()
+					c.hits.Add(1)
+					shared = append(shared, slot{i: s.i, e: e})
+					continue
+				}
+				s.e = &entry{ready: make(chan struct{})}
+				c.m[k] = s.e
+				c.mu.Unlock()
+			}
+			v, hit, busy, marker := c.claim(k, cd)
+			switch {
+			case hit:
+				c.diskHits.Add(1)
+				if s.waited {
+					c.tm.wipAdopted.Inc()
+				}
+				s.e.val, vals[s.i] = v, v
+				close(s.e.ready)
+			case busy:
+				foreign = append(foreign, s)
+			default:
+				s.marker = marker
+				owned = append(owned, s)
+			}
+		}
+
+		err := c.computeClaims(ctx, keys, cd, owned, fn, vals)
+		for _, s := range foreign {
+			if err == nil {
+				err = c.awaitMarker(ctx, keys[s.i])
+			}
+		}
+		if err != nil {
+			for _, s := range foreign {
+				s.e.err = err
+				c.settle(keys[s.i], s.e)
+			}
+			return nil, err
+		}
+		// The markers are gone: claim those keys again. Shared entries are
+		// waited for once the call holds no open claim, since one of them
+		// may be the call's own (a key listed twice).
+		if todo = foreign; len(todo) > 0 {
+			for j := range todo {
+				todo[j].waited = true
+			}
+			continue
+		}
+		for _, s := range shared {
+			var retry bool
+			if vals[s.i], retry, err = s.e.await(ctx); err != nil {
+				return nil, err
+			}
+			if retry {
+				todo = append(todo, slot{i: s.i})
+			}
+		}
+		shared = nil
+	}
+	return vals, nil
+}
+
+// await waits for an entry another caller owns. retry reports that its
+// owner was canceled and this caller was not: the failed entry has left
+// the map, and the caller resolves the key afresh.
+func (e *entry) await(ctx context.Context) (v any, retry bool, err error) {
+	select {
+	case <-e.ready:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
+	}
+	if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
+		if ctx.Err() != nil {
+			return nil, false, ctx.Err()
+		}
+		return nil, true, nil
+	}
+	return e.val, false, e.err
+}
+
+// claim runs the claim sequence for a key whose memory entry the caller
+// holds: probe the disk tier, then take the key's in-progress marker, then
+// probe again, since another process may have written the artifact and
+// released its marker in between. On a disk hit it returns the artifact.
+// Otherwise busy reports that another process holds the marker, or the
+// caller computes the artifact holding marker: "" on a memory-only stage,
+// or after a store flake on the marker path, which degrades to an
+// uncoordinated compute — the marker is a dedup optimization, never a
+// correctness gate. An entry that fails to decode counts as one disk
+// error, however many probes read it.
+func (c *artifactCache) claim(k Key, cd *codec) (v any, hit, busy bool, marker string) {
+	if c.disk == nil || cd == nil {
+		return nil, false, false, ""
+	}
+	v, hit, corrupt := c.fromDisk(k, cd)
+	if !hit {
+		marker = wipName(k)
+		switch err := c.disk.CreateExclusive(marker, []byte(k.Canonical())); {
+		case errors.Is(err, fs.ErrExist):
+			busy, marker = true, ""
+		case err != nil:
+			c.diskErrors.Add(1)
+			marker = ""
+		default:
+			var bad bool
+			if v, hit, bad = c.fromDisk(k, cd); hit {
+				c.disk.Remove(marker)
+				marker = ""
+			}
+			corrupt = corrupt || bad
+		}
+	}
+	if corrupt {
+		c.diskErrors.Add(1)
+	}
+	return v, hit, busy, marker
+}
+
+// computeClaims computes every owned slot of a doMany call with one call
+// of fn, heartbeating their markers meanwhile; it writes the artifacts
+// through, releases the markers, and settles the entries. Accounting stays
+// per key: each key counts as one miss and one computation, gets its own
+// span covering the shared computation, and observes an equal share of its
+// wall time in the stage histogram, so the histogram's sum stays the time
+// actually spent. fn runs under the first key's span context, so nested
+// stage calls trace as that span's children.
+func (c *artifactCache) computeClaims(ctx context.Context, keys []Key, cd *codec, owned []slot, fn func(context.Context, []int) ([]any, error), vals []any) error {
+	if len(owned) == 0 {
+		return nil
+	}
+	idx := make([]int, len(owned))
+	spans := make([]*telemetry.Span, len(owned))
+	var markers []string
 	fnCtx := ctx
-	for i, k := range ks {
-		c.tm.misses.Inc()
+	c.misses.Add(uint64(len(owned)))
+	for j, s := range owned {
+		idx[j] = s.i
+		if s.marker != "" {
+			markers = append(markers, s.marker)
+		}
+		k := keys[s.i]
 		if int(k.Stage) < len(c.computed) {
 			c.computed[k.Stage].Add(1)
-			c.tm.computed[k.Stage].Inc()
 		}
 		sctx, span := c.tm.tracer.Start(ctx, k.Stage.String())
 		span.SetAttr("workload", k.Workload)
@@ -335,161 +449,41 @@ func (c *artifactCache) computeKeys(ctx context.Context, ks []Key, fn func(conte
 		if k.Clone {
 			span.SetAttr("clone", "true")
 		}
-		if len(ks) > 1 {
-			span.SetAttr("batch", strconv.Itoa(len(ks)))
+		if len(owned) > 1 {
+			span.SetAttr("batch", strconv.Itoa(len(owned)))
 		}
-		if i == 0 {
+		if j == 0 {
 			fnCtx = sctx
 		}
-		spans[i] = span
+		spans[j] = span
 	}
+
+	stop := c.heartbeat(markers)
 	start := time.Now()
-	vs, err := fn(fnCtx)
-	share := time.Since(start).Seconds() / float64(len(ks))
-	for i, k := range ks {
+	vs, err := fn(fnCtx, idx)
+	share := time.Since(start).Seconds() / float64(len(owned))
+	for j, s := range owned {
+		k := keys[s.i]
 		if int(k.Stage) < len(c.computed) {
 			c.tm.seconds[k.Stage].Observe(share)
 		}
 		if err != nil {
-			spans[i].SetAttr("error", err.Error())
+			spans[j].SetAttr("error", err.Error())
 		}
-		spans[i].End()
+		spans[j].End()
 	}
-	if err != nil {
-		return make([]any, len(ks)), err
-	}
-	return vs, nil
-}
-
-// claim is one key of a doMany batch whose in-memory entry this call
-// installed. marker names the cross-process in-progress marker the call
-// holds for it ("" = none: a memory-only stage, or a marker-path flake
-// that degrades to an uncoordinated compute).
-type claim struct {
-	i      int
-	e      *entry
-	marker string
-}
-
-// doMany resolves every key in keys exactly as do resolves one —
-// memory, then disk, then computation with write-through, under the
-// same single-flight entries and in-progress markers — but computes all
-// the keys it can claim outright with a single call of fn. fn receives
-// the indexes (into keys) of those keys and returns their artifacts in
-// that order. Keys another caller is already computing — in this
-// process, or in another one holding the key's marker — are resolved
-// only after the batch finishes, one at a time through do's path, so
-// two overlapping batches never wait on each other while holding
-// claims. Results are returned in key order.
-func (c *artifactCache) doMany(ctx context.Context, keys []Key, cd *codec, fn func(ctx context.Context, idx []int) ([]any, error)) ([]any, error) {
-	single := func(i int) func(context.Context) (any, error) {
-		return func(ctx context.Context) (any, error) {
-			vs, err := fn(ctx, []int{i})
-			if err != nil {
-				return nil, err
-			}
-			return vs[0], nil
+	for j, s := range owned {
+		if s.e.err = err; err == nil {
+			c.toDisk(keys[s.i], cd, vs[j])
+			s.e.val, vals[s.i] = vs[j], vs[j]
 		}
-	}
-	vals := make([]any, len(keys))
-	var owned, foreign []claim
-	var shared []int
-	for i, k := range keys {
-		c.mu.Lock()
-		if _, ok := c.m[k]; ok {
-			c.mu.Unlock()
-			shared = append(shared, i)
-			continue
-		}
-		e := &entry{ready: make(chan struct{})}
-		c.m[k] = e
-		c.mu.Unlock()
-
-		v, ok := c.fromDisk(k, cd)
-		cl := claim{i: i, e: e}
-		if !ok && c.disk != nil && cd != nil {
-			marker := wipName(k)
-			switch err := c.disk.CreateExclusive(marker, []byte(k.Canonical())); {
-			case err == nil:
-				// Another process may have written the artifact and
-				// released its marker since our miss: look again.
-				if v, ok = c.fromDisk(k, cd); ok {
-					c.disk.Remove(marker)
-				} else {
-					cl.marker = marker
-				}
-			case errors.Is(err, fs.ErrExist):
-				foreign = append(foreign, cl) // another process is computing it
-				continue
-			default:
-				c.diskErrors.Add(1) // marker-path flake: compute uncoordinated
-				c.tm.diskErrors.Inc()
-			}
-		}
-		if ok {
-			c.diskHits.Add(1)
-			c.tm.diskHits.Inc()
-			e.val = v
-			close(e.ready)
-			vals[i] = v
-			continue
-		}
-		owned = append(owned, cl)
-	}
-
-	err := c.computeClaims(ctx, keys, cd, owned, fn, vals)
-	for _, cl := range foreign {
-		if err == nil {
-			cl.e.val, cl.e.err = c.computeGated(ctx, keys[cl.i], cd, true, single(cl.i))
-			vals[cl.i], err = cl.e.val, cl.e.err
-		} else {
-			cl.e.err = err
-		}
-		c.settle(keys[cl.i], cl.e)
-	}
-	for _, i := range shared {
-		if err != nil {
-			break
-		}
-		vals[i], err = c.do(ctx, keys[i], cd, single(i))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return vals, nil
-}
-
-// computeClaims computes every owned claim of a doMany batch with one
-// call of fn, heartbeating their markers meanwhile; it writes the
-// artifacts through, releases the markers, and settles the entries.
-func (c *artifactCache) computeClaims(ctx context.Context, keys []Key, cd *codec, owned []claim, fn func(context.Context, []int) ([]any, error), vals []any) error {
-	if len(owned) == 0 {
-		return nil
-	}
-	idx := make([]int, len(owned))
-	ks := make([]Key, len(owned))
-	var markers []string
-	for j, cl := range owned {
-		idx[j], ks[j] = cl.i, keys[cl.i]
-		if cl.marker != "" {
-			markers = append(markers, cl.marker)
-		}
-	}
-	stop := c.heartbeat(markers)
-	vs, err := c.computeKeys(ctx, ks, func(ctx context.Context) ([]any, error) { return fn(ctx, idx) })
-	for j, cl := range owned {
-		if err == nil {
-			c.toDisk(ks[j], cd, vs[j])
-		}
-		cl.e.val, cl.e.err = vs[j], err
-		vals[cl.i] = vs[j]
 	}
 	stop()
 	for _, m := range markers {
 		c.disk.Remove(m)
 	}
-	for _, cl := range owned {
-		c.settle(keys[cl.i], cl.e)
+	for _, s := range owned {
+		c.settle(keys[s.i], s.e)
 	}
 	return err
 }
@@ -519,87 +513,31 @@ func wipName(k Key) string {
 	return store.WIPDir + "/" + k.Digest() + ".json"
 }
 
-// computeGated computes a persisted artifact under a store-level
-// in-progress marker, so processes sharing a store — including ones on
-// different machines sharing it over HTTP — single-flight the computation
-// exactly like goroutines sharing the in-memory map do. The winner of the
-// exclusive marker creation computes, writes the artifact through, then
-// removes the marker; losers poll for the artifact and adopt it as a disk
-// hit. A stale marker (no heartbeat for wipTTL) is stolen, and any marker
-// operation failing for other reasons degrades to an uncoordinated compute:
-// the gate is a dedup optimization, never a correctness gate. retried
-// reports that the caller already found another process's marker, so a
-// claim won here may postdate that process's write-through.
-func (c *artifactCache) computeGated(ctx context.Context, k Key, cd *codec, retried bool, fn func(context.Context) (any, error)) (any, error) {
+// awaitMarker waits while another process holds k's in-progress marker.
+// Processes sharing a store — including ones on different machines
+// sharing it over HTTP — thereby single-flight a computation exactly like
+// goroutines sharing the in-memory map do. It returns once the marker is
+// gone, because its owner wrote the artifact through and released it or
+// failed, or once the owner stopped heartbeating for wipTTL and the stale
+// marker was stolen; either way the caller goes back to the claim step.
+// It returns the context's error if the wait is canceled.
+func (c *artifactCache) awaitMarker(ctx context.Context, k Key) error {
 	marker := wipName(k)
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		err := c.disk.CreateExclusive(marker, []byte(k.Canonical()))
-		if err == nil {
-			if retried {
-				// We waited on another process's marker before winning the
-				// claim; it may have finished between our last poll and now.
-				if v, ok := c.fromDisk(k, cd); ok {
-					c.disk.Remove(marker)
-					c.diskHits.Add(1)
-					c.tm.diskHits.Inc()
-					c.tm.wipAdopted.Inc()
-					return v, nil
-				}
-			}
-			return c.computeOwned(ctx, k, cd, marker, fn)
-		}
-		if !errors.Is(err, fs.ErrExist) {
-			// Store flake on the marker path: fall back to computing without
-			// coordination rather than blocking the pipeline.
-			c.diskErrors.Add(1)
-			c.tm.diskErrors.Inc()
-			v, ferr := c.compute(ctx, k, fn)
-			if ferr == nil {
-				c.toDisk(k, cd, v)
-			}
-			return v, ferr
-		}
-		// Another process holds the claim: wait for its artifact.
-		retried = true
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		case <-time.After(wipPoll):
 		}
-		if v, ok := c.fromDisk(k, cd); ok {
-			c.diskHits.Add(1)
-			c.tm.diskHits.Inc()
-			c.tm.wipAdopted.Inc()
-			return v, nil
+		fi, err := c.disk.Stat(marker)
+		if err != nil {
+			return nil
 		}
-		if fi, serr := c.disk.Stat(marker); serr == nil {
-			if time.Since(fi.ModTime) > wipTTL {
-				// The owner stopped heartbeating: steal the stale marker and
-				// loop back to claim it ourselves.
-				c.disk.Remove(marker)
-			}
+		if time.Since(fi.ModTime) > wipTTL {
+			c.disk.Remove(marker)
+			return nil
 		}
-		// Marker gone without an artifact (owner failed): loop reclaims it.
 	}
-}
-
-// computeOwned runs fn while holding the in-progress marker, heartbeating
-// it so waiters can tell a live computation from a dead process. The
-// artifact is written through before the marker is released, so a waiter
-// that observes the marker disappear without an artifact knows the owner
-// failed.
-func (c *artifactCache) computeOwned(ctx context.Context, k Key, cd *codec, marker string, fn func(context.Context) (any, error)) (any, error) {
-	stop := c.heartbeat([]string{marker})
-	v, err := c.compute(ctx, k, fn)
-	if err == nil {
-		c.toDisk(k, cd, v)
-	}
-	stop()
-	c.disk.Remove(marker)
-	return v, err
 }
 
 // heartbeat touches every marker each wipTTL/3 until the returned stop

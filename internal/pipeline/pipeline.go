@@ -1,17 +1,16 @@
 // Package pipeline models the paper's framework as typed, composable
-// stages — Parse → Check → Compile → Profile → Synthesize → Validate —
-// executed by a bounded worker pool over the workload × ISA × optimization
-// level cross product, with an in-memory content-addressed artifact cache
-// so each compile and each profile is computed once and shared across every
-// experiment that needs it.
+// stages — Parse → Check → Compile → Profile → Synthesize → Validate,
+// plus Simulate (a program on a machine configuration), Characterize (a
+// program's instruction mix, cache sweep, and branch statistics), and
+// Generate (the report of a directed-generation run) — executed by a
+// bounded worker pool over the workload × ISA × optimization level cross
+// product, with a content-addressed artifact cache so each artifact is
+// computed once and shared across every experiment that needs it.
 //
-// The seed repository ran the same flow as ad-hoc sequential loops with
-// private compile/profile helpers duplicated through internal/experiments;
-// this package is the orchestration layer those experiments (and cmd/synth)
-// now submit declarative jobs to. Every stage takes a context.Context and
-// returns structured *StageError failures, cancellation is observed at
-// stage boundaries and between fan-out jobs, and results are deterministic
-// for a fixed seed regardless of worker count.
+// Every stage takes a context.Context and returns structured *StageError
+// failures, cancellation is observed at stage boundaries and between
+// fan-out jobs, and results are deterministic for a fixed seed regardless
+// of worker count.
 package pipeline
 
 import (
@@ -59,9 +58,10 @@ type Options struct {
 	// must take care not to store a typed nil here; pass a literal nil.
 	Store store.Backend
 	// Metrics, when non-nil, receives the pipeline's cache and per-stage
-	// metrics (synth_pipeline_*). The counters mirror CacheStats increment
-	// for increment, so a /metrics scrape always matches the printed stats.
-	// Nil disables metric recording at zero cost.
+	// metrics (synth_pipeline_*). The counters are read at scrape time
+	// from the same atomics CacheStats reports, so a /metrics scrape
+	// always matches the printed stats; pipelines sharing one registry
+	// scrape as their sum. Nil disables metric recording at zero cost.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one span per artifact computation,
 	// named after the stage and nested along the stage dataflow (a cold
@@ -92,7 +92,7 @@ func New(opts Options) *Pipeline {
 		opts.ProfileCache = profile.DefaultCache
 	}
 	return &Pipeline{opts: opts,
-		cache: newArtifactCache(opts.Store, newCacheTelemetry(opts.Metrics, opts.Tracer))}
+		cache: newArtifactCache(opts.Store, opts.Metrics, opts.Tracer)}
 }
 
 // Workers returns the fan-out bound.

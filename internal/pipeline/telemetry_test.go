@@ -101,12 +101,15 @@ func TestPipelineTraceNesting(t *testing.T) {
 	}
 }
 
-// TestPipelineMetricsMatchCacheStats drains a small run under a registry
-// and asserts the scraped counters equal the CacheStats the run reports —
-// the contract the CI observability job curls /metrics to verify.
+// TestPipelineMetricsMatchCacheStats drains small runs through two
+// pipelines sharing one registry, as a node's pipelines do, and asserts
+// every scraped cache counter equals the sum of both pipelines'
+// CacheStats — the contract the CI observability job curls /metrics to
+// verify — while each pipeline's CacheStats keeps only its own counts.
 func TestPipelineMetricsMatchCacheStats(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	p := New(Options{Workers: 2, Metrics: reg})
+	q := New(Options{Workers: 1, Metrics: reg})
 	ctx := context.Background()
 	w := workloads.ByName("crc32/small")
 	if w == nil {
@@ -122,7 +125,14 @@ func TestPipelineMetricsMatchCacheStats(t *testing.T) {
 	if _, err := p.Synthesize(ctx, w); err != nil {
 		t.Fatalf("warm Synthesize: %v", err)
 	}
-	stats := p.CacheStats()
+	if _, err := q.Profile(ctx, w); err != nil {
+		t.Fatalf("second pipeline Profile: %v", err)
+	}
+	ps, qs := p.CacheStats(), q.CacheStats()
+	if qs.ComputedFor(StageSynthesize) != 0 || qs.ComputedFor(StageProfile) != 1 {
+		t.Fatalf("second pipeline's stats are not its own: %+v", qs)
+	}
+	stats := ps.Add(qs)
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatalf("scrape: %v", err)
@@ -142,7 +152,7 @@ func TestPipelineMetricsMatchCacheStats(t *testing.T) {
 		wantLine(fmt.Sprintf("synth_pipeline_stage_computed_total{stage=%q} %d",
 			s.String(), stats.ComputedFor(s)))
 	}
-	if stats.Hits == 0 || stats.Misses == 0 {
-		t.Fatalf("run exercised no cache traffic: %+v", stats)
+	if ps.Hits == 0 || ps.Misses == 0 || qs.Misses == 0 {
+		t.Fatalf("runs exercised no cache traffic: %+v, %+v", ps, qs)
 	}
 }

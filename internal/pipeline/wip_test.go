@@ -135,3 +135,54 @@ func TestWIPStaleMarkerStolen(t *testing.T) {
 		t.Error("stolen marker still present after the computation")
 	}
 }
+
+// peerFirst is a store backend through which a peer process finishes its
+// computation just before this process's first marker claim, the race the
+// post-claim re-check exists for.
+type peerFirst struct {
+	store.Backend
+	once sync.Once
+	peer func()
+}
+
+func (b *peerFirst) CreateExclusive(name string, data []byte) error {
+	b.once.Do(b.peer)
+	return b.Backend.CreateExclusive(name, data)
+}
+
+// TestWIPRecheckAfterClaim pins the re-check after winning a marker on a
+// single-key stage: a peer writes the compile artifact and releases its
+// marker between this pipeline's disk probe and its marker claim, so the
+// pipeline must adopt the peer's artifact instead of compiling again.
+func TestWIPRecheckAfterClaim(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	w := workloads.ByName("crc32/small")
+	if w == nil {
+		t.Fatal("workload crc32/small missing")
+	}
+	peer := wipPipeline(t, dir)
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := &peerFirst{Backend: st, peer: func() {
+		if _, err := peer.Compile(ctx, w, isa.AMD64, compiler.O2); err != nil {
+			t.Errorf("peer compile: %v", err)
+		}
+	}}
+	p := New(Options{Workers: 1, Seed: 1, Store: be})
+	if _, err := p.Compile(ctx, w, isa.AMD64, compiler.O2); err != nil {
+		t.Fatal(err)
+	}
+	if got := peer.CacheStats().ComputedFor(StageCompile); got != 1 {
+		t.Fatalf("peer computed the compile %d times, want 1", got)
+	}
+	cs := p.CacheStats()
+	if got := cs.ComputedFor(StageCompile); got != 0 {
+		t.Errorf("compile computed %d times after the peer stored it, want 0", got)
+	}
+	if cs.DiskHits != 1 || cs.DiskErrors != 0 {
+		t.Errorf("stats %+v, want 1 disk hit and no disk errors", cs)
+	}
+}

@@ -224,12 +224,11 @@ func (s *Store) Touch(name string) error {
 	return os.Chtimes(p, now, now)
 }
 
-// Every backend — local disk, HTTP client, fault decorator — satisfies the
-// same interface, so any layer of the system can be pointed at any of them.
+// Every backend — local disk, HTTP client — satisfies the same interface,
+// so any layer of the system can be pointed at any of them.
 var (
 	_ Backend = (*Store)(nil)
 	_ Backend = (*Remote)(nil)
-	_ Backend = (*Fault)(nil)
 )
 
 // notExist wraps fs.ErrNotExist with context, for backends that must

@@ -1,8 +1,8 @@
-package store_test
+package storetest_test
 
 // Tests for the fault-injection Backend decorator itself. The decorator
-// lives in fault.go (non-test code) so the cluster chaos suite and the
-// cmd/synth fabric tests can wrap their backends with it; this file pins
+// lives in fault.go (non-test code of a test-support package) so the
+// cluster chaos suite can wrap its backends with it; this file pins
 // its scheduling semantics — op/name matching, skip/count windows,
 // corruption, and miss-degradation on the cache-facing ops.
 
@@ -12,22 +12,23 @@ import (
 	"testing"
 
 	"repro/internal/store"
+	"repro/internal/store/storetest"
 )
 
-func faultPair(t *testing.T) (*store.Fault, *store.Store) {
+func faultPair(t *testing.T) (*storetest.Fault, *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	return store.NewFault(st), st
+	return storetest.NewFault(st), st
 }
 
 var errInjected = errors.New("injected flake")
 
 func TestFaultErrorsAreTransient(t *testing.T) {
 	f, _ := faultPair(t)
-	f.Script(store.FaultRule{Op: "writefile", Match: "cluster/done/", Count: 2, Err: errInjected})
+	f.Script(storetest.FaultRule{Op: "writefile", Match: "cluster/done/", Count: 2, Err: errInjected})
 
 	// The first two done-dir writes flake, the third lands.
 	for i := 0; i < 2; i++ {
@@ -49,7 +50,7 @@ func TestFaultErrorsAreTransient(t *testing.T) {
 
 func TestFaultSkipWindow(t *testing.T) {
 	f, _ := faultPair(t)
-	f.Script(store.FaultRule{Op: "touch", Skip: 1, Count: 1, Err: errInjected})
+	f.Script(storetest.FaultRule{Op: "touch", Skip: 1, Count: 1, Err: errInjected})
 
 	if err := f.WriteFile("cluster/leased/j.json", nil); err != nil {
 		t.Fatal(err)
@@ -70,7 +71,7 @@ func TestFaultGetDegradesToMiss(t *testing.T) {
 	if err := st.Put("cafe01", "profile", "k", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	f.Script(store.FaultRule{Op: "get", Count: 1, Err: errInjected})
+	f.Script(storetest.FaultRule{Op: "get", Count: 1, Err: errInjected})
 
 	if _, ok := f.Get("cafe01", "profile", "k"); ok {
 		t.Fatal("faulted get should read as a miss")
@@ -79,7 +80,7 @@ func TestFaultGetDegradesToMiss(t *testing.T) {
 		t.Fatalf("recovered get: ok=%v payload=%q", ok, payload)
 	}
 
-	f.Script(store.FaultRule{Op: "has", Count: 1, Err: errInjected})
+	f.Script(storetest.FaultRule{Op: "has", Count: 1, Err: errInjected})
 	if f.Has("cafe01", "profile", "k") {
 		t.Fatal("faulted has should read as absent")
 	}
@@ -93,7 +94,7 @@ func TestFaultCorruption(t *testing.T) {
 	if err := st.Put("cafe01", "profile", "k", []byte(`{"v":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	f.Script(store.FaultRule{Op: "get", Count: 1, Corrupt: true})
+	f.Script(storetest.FaultRule{Op: "get", Count: 1, Corrupt: true})
 
 	bad, ok := f.Get("cafe01", "profile", "k")
 	if !ok {

@@ -62,7 +62,8 @@ type family struct {
 // Registry holds metric families and renders them in the Prometheus text
 // exposition format. Lookups are get-or-create and idempotent: asking twice
 // for the same (name, labels) returns the same handle, so instrumented
-// packages can resolve their handles independently and still share series.
+// packages can resolve their handles independently and still share series;
+// CounterFunc registrations of one series add up instead (see CounterFunc).
 // All methods are safe for concurrent use, and safe on a nil *Registry —
 // they return nil handles whose updates are no-ops.
 type Registry struct {
@@ -202,13 +203,25 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — for monotone counts maintained elsewhere (the VM's executed
-// instruction total). No-op on a nil registry.
+// instruction total, a pipeline's cache counters), so each count is kept
+// once. Registering the same (name, labels) again adds fn to the series:
+// a scrape reports the sum, so components sharing a registry (every
+// pipeline of a node) expose their total while each keeps its own count.
+// No-op on a nil registry.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...string) {
 	if r == nil {
 		return
 	}
 	f := r.getFamily(name, help, kindCounterFunc, nil)
-	f.getSeries(labelString(labels), func() any { return fn })
+	ls := labelString(labels)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if prev, ok := f.series[ls].(func() uint64); ok {
+		f.series[ls] = func() uint64 { return prev() + fn() }
+		return
+	}
+	f.series[ls] = fn
+	f.order = append(f.order, ls)
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at scrape time —

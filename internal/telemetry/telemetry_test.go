@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -48,7 +49,8 @@ func TestTelemetryKindMismatchPanics(t *testing.T) {
 }
 
 // TestTelemetryExpositionGolden pins the exact Prometheus text exposition
-// bytes for a representative registry.
+// bytes for a representative registry, including the sum a counter-func
+// series registered twice reports.
 func TestTelemetryExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("synth_jobs_total", "Jobs by result.", "result", "ok").Add(3)
@@ -58,11 +60,13 @@ func TestTelemetryExpositionGolden(t *testing.T) {
 	h.Observe(0.25)
 	h.Observe(0.75)
 	h.Observe(2)
+	// Two registrations of one counter-func series scrape as their sum.
 	r.CounterFunc("synth_instrs_total", "Executed instructions.", func() uint64 { return 42 })
+	r.CounterFunc("synth_instrs_total", "Executed instructions.", func() uint64 { return 8 })
 
 	const want = `# HELP synth_instrs_total Executed instructions.
 # TYPE synth_instrs_total counter
-synth_instrs_total 42
+synth_instrs_total 50
 # HELP synth_jobs_total Jobs by result.
 # TYPE synth_jobs_total counter
 synth_jobs_total{result="ok"} 3
@@ -87,9 +91,10 @@ synth_stage_seconds_count{stage="parse"} 3
 	}
 }
 
-// TestTelemetryRegistryRace hammers counters, gauges, histograms, and
-// get-or-create from many goroutines while a scraper renders the registry;
-// run under -race this pins the concurrency contract.
+// TestTelemetryRegistryRace hammers counters, gauges, histograms,
+// get-or-create, and summed counter-func registration from many goroutines
+// while a scraper renders the registry; run under -race this pins the
+// concurrency contract.
 func TestTelemetryRegistryRace(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -108,6 +113,9 @@ func TestTelemetryRegistryRace(t *testing.T) {
 				h.Observe(float64(j) / 1000)
 				// Re-resolve handles to race get-or-create too.
 				r.Counter("race_total", "race", "w", "a").Inc()
+				if j%100 == 0 {
+					r.CounterFunc("race_func_total", "race", func() uint64 { return 1 })
+				}
 			}
 		}()
 	}
@@ -151,6 +159,13 @@ func TestTelemetryRegistryRace(t *testing.T) {
 	}
 	if got := r.Histogram("race_seconds", "race", DefaultLatencyBuckets).Count(); got != 4*2000 {
 		t.Fatalf("race_seconds count = %d, want %d", got, 4*2000)
+	}
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatalf("scrape: %v", err)
+	}
+	if want := fmt.Sprintf("race_func_total %d\n", 4*2000/100); !strings.Contains(b.String(), want) {
+		t.Fatalf("scrape lacks the summed %q:\n%s", want, b.String())
 	}
 }
 
