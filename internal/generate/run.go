@@ -147,7 +147,7 @@ func realizePoint(ctx context.Context, p *pipeline.Pipeline, sp SampledPoint) Po
 	// Clones are self-contained (no inputs) and terminate by construction;
 	// a clone that traps or executes nothing is rejected, the same
 	// criterion the Validate stage applies to named workloads.
-	measured, err := profile.Collect(prog, nil, sp.Name, profile.Options{Cache: p.ProfileCacheConfig()})
+	measured, err := profile.Collect(prog, nil, sp.Name, profile.Options{Cache: profile.DefaultCache})
 	if err != nil {
 		rep.Reject = fmt.Sprintf("validate: %v", err)
 		return rep

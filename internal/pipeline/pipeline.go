@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"repro/internal/cache"
 	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/hlc"
@@ -43,9 +42,6 @@ type Options struct {
 	// profiles at a low optimization level; defaults are amd64 and -O0.
 	ProfileISA   *isa.Desc
 	ProfileLevel compiler.OptLevel
-	// ProfileCache is the cache simulated while profiling (zero value =
-	// the profile package default).
-	ProfileCache cache.Config
 	// MaxInstrs bounds profiled executions (0 = VM default).
 	MaxInstrs uint64
 	// Store, when non-nil, adds a persistent tier under the artifact
@@ -79,17 +75,14 @@ type Pipeline struct {
 }
 
 // New builds a pipeline. The zero Options value gives the paper's setup:
-// profile at amd64 -O0 with the default 8KB profiling cache, GOMAXPROCS
-// workers, seed 0.
+// profile at amd64 -O0 with the 8KB profiling cache (profile.DefaultCache),
+// GOMAXPROCS workers, seed 0.
 func New(opts Options) *Pipeline {
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opts.ProfileISA == nil {
 		opts.ProfileISA = isa.AMD64
-	}
-	if opts.ProfileCache == (cache.Config{}) {
-		opts.ProfileCache = profile.DefaultCache
 	}
 	return &Pipeline{opts: opts,
 		cache: newArtifactCache(opts.Store, opts.Metrics, opts.Tracer)}
@@ -109,9 +102,6 @@ func (p *Pipeline) CacheStats() CacheStats { return p.cache.stats() }
 func (p *Pipeline) ProfilePoint() (*isa.Desc, compiler.OptLevel) {
 	return p.opts.ProfileISA, p.opts.ProfileLevel
 }
-
-// ProfileCacheConfig returns the profiling cache configuration.
-func (p *Pipeline) ProfileCacheConfig() cache.Config { return p.opts.ProfileCache }
 
 // Clone bundles every artifact of one synthesized benchmark.
 type Clone struct {
@@ -207,17 +197,14 @@ func (p *Pipeline) Profile(ctx context.Context, w *workloads.Workload) (*profile
 		return nil, err
 	}
 	key := Key{Stage: StageProfile, Workload: w.Name, ISA: p.opts.ProfileISA.Name,
-		Level: p.opts.ProfileLevel, Cache: p.opts.ProfileCache,
+		Level: p.opts.ProfileLevel, Cache: profile.DefaultCache,
 		MaxInstrs: p.opts.MaxInstrs, Src: srcID(w)}
 	v, err := p.cache.do(ctx, key, codecProfile, func(ctx context.Context) (any, error) {
 		prog, err := p.Compile(ctx, w, p.opts.ProfileISA, p.opts.ProfileLevel)
 		if err != nil {
 			return nil, err
 		}
-		prof, err := profile.Collect(prog, w.Setup, w.Name, profile.Options{
-			Cache:     p.opts.ProfileCache,
-			MaxInstrs: p.opts.MaxInstrs,
-		})
+		prof, err := profile.Collect(prog, w.Setup, w.Name, profile.Options{MaxInstrs: p.opts.MaxInstrs})
 		if err != nil {
 			return nil, p.fail(StageProfile, w.Name, err)
 		}
@@ -237,7 +224,7 @@ func srcID(w *workloads.Workload) string {
 func (p *Pipeline) cloneKey(s Stage, w *workloads.Workload) Key {
 	return Key{Stage: s, Workload: w.Name, ISA: p.opts.ProfileISA.Name,
 		Level: p.opts.ProfileLevel, Seed: p.opts.Seed, Clone: true,
-		Cache: p.opts.ProfileCache, TargetDyn: p.opts.TargetDyn,
+		Cache: profile.DefaultCache, TargetDyn: p.opts.TargetDyn,
 		MaxInstrs: p.opts.MaxInstrs, Src: srcID(w)}
 }
 
@@ -329,7 +316,7 @@ func (p *Pipeline) GenerateArtifact(ctx context.Context, fingerprint string, com
 	}
 	key := Key{Stage: StageGenerate, Workload: "generate:" + fingerprint,
 		ISA: p.opts.ProfileISA.Name, Level: p.opts.ProfileLevel,
-		Seed: p.opts.Seed, Cache: p.opts.ProfileCache,
+		Seed: p.opts.Seed, Cache: profile.DefaultCache,
 		TargetDyn: p.opts.TargetDyn, MaxInstrs: p.opts.MaxInstrs}
 	v, err := p.cache.do(ctx, key, codecGenerate, func(ctx context.Context) (any, error) {
 		data, err := compute(ctx)
@@ -437,7 +424,7 @@ func (p *Pipeline) PairKeys(w *workloads.Workload, target *isa.Desc, level compi
 		keys = append(keys, profCompile)
 	}
 	keys = append(keys, Key{Stage: StageProfile, Workload: w.Name, ISA: p.opts.ProfileISA.Name,
-		Level: p.opts.ProfileLevel, Cache: p.opts.ProfileCache,
+		Level: p.opts.ProfileLevel, Cache: profile.DefaultCache,
 		MaxInstrs: p.opts.MaxInstrs, Src: srcID(w)})
 	keys = append(keys, p.cloneKey(StageSynthesize, w))
 	cloneCompile := p.cloneKey(StageCompile, w)

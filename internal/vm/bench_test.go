@@ -2,8 +2,8 @@ package vm_test
 
 // Interpreter microbenchmarks. Both report instructions-per-second through
 // the "instrs/s" custom metric, so `go test -bench . ./internal/vm` gives
-// the raw dispatch-loop throughput that `synth bench` institutionalizes per
-// PR. The fast benchmark exercises the no-hook loop (validate and phase-1
+// the raw dispatch-loop throughput that the repository harness's
+// vm.fast_mips and vm.hooked_mips gate per PR. The fast benchmark exercises the no-hook loop (validate and phase-1
 // calibration); the hooked one adds a counting hook, the floor of every
 // instrumented consumer.
 
